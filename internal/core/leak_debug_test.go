@@ -16,7 +16,7 @@ import (
 // debugDump renders the cache's internal accounting for leak forensics.
 func debugDump(c *Cache) string {
 	out := fmt.Sprintf("latentTotal=%d currentSlabs=%d requested=%d\n",
-		c.latentTotal.Load(), c.base.Ctr.CurrentSlabs(), c.base.Requested())
+		c.LatentTotal(), c.base.Ctr.CurrentSlabs(), c.base.Requested())
 	for i, cl := range c.percpu {
 		cl.objs.LockRemote()
 		out += fmt.Sprintf("  cpu%d objs=%d latent=%d armed=%v\n", i, cl.objs.Len(), len(cl.latent), cl.preflushArmed)

@@ -158,6 +158,8 @@ func (a *Allocator) NewCache(cfg slabcore.CacheConfig) alloc.Cache {
 			objs: slabcore.NewPerCPUCache(c.base.Cfg.CacheSize),
 		}
 		cl.elapsedFn = func(ck rcu.Cookie) bool { return c.elapsedLocal(cl, ck) }
+		cpu := i
+		cl.preflushFn = func() { c.preflush(cpu) }
 		c.percpu[i] = cl
 	}
 	c.placeFn = c.placement
@@ -204,13 +206,22 @@ type latentObj struct {
 // worker and Drain take the visitor path. The latent cache is bounded
 // by the object cache size (§4.1): overflow goes to latent slabs
 // instead, so a post-grace-period merge can never overflow the object
-// cache. Padded to 128 bytes so adjacent CPUs' cpuLocals never share a
-// cache line (or an adjacent-line prefetch pair).
+// cache. Padded to 256 bytes, a multiple of the 128-byte false-sharing
+// pad, so adjacent CPUs' cpuLocals never share a cache line (or an
+// adjacent-line prefetch pair).
 //
-//prudence:padded 128
+//prudence:padded 256
 type cpuLocal struct {
 	objs   *slabcore.PerCPUCache
 	latent []latentObj //prudence:guarded_by objs
+
+	// latentCount is this CPU's share of the cache's deferred-object
+	// count (latent caches + latent slabs). Every path charges the CPU
+	// it runs for, so a share can go negative when objects deferred on
+	// one CPU are reconciled by another; only LatentTotal's sum means
+	// anything. Keeping it here instead of in one cache-wide counter
+	// takes a shared write off every FreeDeferred.
+	latentCount atomic.Int64
 
 	// preflushArmed avoids queueing more than one pre-flush work item.
 	preflushArmed bool //prudence:guarded_by objs
@@ -236,9 +247,20 @@ type cpuLocal struct {
 	// elapsedFn is the prebuilt cached-poll closure handed to
 	// slabcore.Reconcile from paths holding this CPU's cache lock,
 	// built once in NewCache so the hot path never allocates one.
-	elapsedFn func(rcu.Cookie) bool
+	// preflushFn is the prebuilt idle work item armPreflush queues.
+	elapsedFn  func(rcu.Cookie) bool
+	preflushFn func()
 
-	_ [40]byte // pad to 128 bytes; sized by TestCPULocalPadding
+	// Reused batch buffers, so flushes and spills never allocate.
+	// flushBuf is guarded by the cache lock. spillBuf belongs to the
+	// owning goroutine (FreeDeferred's overflow spill) and preflushBuf
+	// to the one armed pre-flush; both are read after the cache lock is
+	// dropped, which is why they are separate.
+	flushBuf    []slabcore.Ref //prudence:guarded_by objs
+	spillBuf    []latentObj
+	preflushBuf []latentObj
+
+	_ [80]byte // pad to 256 bytes; sized by TestCPULocalPadding
 }
 
 // Cache is one Prudence slab cache.
@@ -246,10 +268,6 @@ type Cache struct {
 	alloc  *Allocator
 	base   *slabcore.Base
 	percpu []*cpuLocal
-
-	// latentTotal counts deferred objects anywhere in this cache
-	// (latent caches + latent slabs); the OOM-delay path consults it.
-	latentTotal atomic.Int64
 
 	// shrinkGate[node] records the grace-period count at the last
 	// latent-path shrink attempt on that node. Free-list slabs blocked
@@ -280,8 +298,16 @@ func (c *Cache) Fragmentation() (float64, int64, int64) {
 }
 
 // LatentTotal returns the number of deferred objects currently parked in
-// this cache's latent caches and latent slabs.
-func (c *Cache) LatentTotal() int64 { return c.latentTotal.Load() }
+// this cache's latent caches and latent slabs: the sum of the per-CPU
+// shares. The OOM-delay path and the shrink threshold consult it; both
+// are slow paths, so the sum's cross-CPU reads stay off the fast path.
+func (c *Cache) LatentTotal() int64 {
+	var n int64
+	for _, cl := range c.percpu {
+		n += cl.latentCount.Load()
+	}
+	return n
+}
 
 func (c *Cache) elapsed(ck rcu.Cookie) bool { return c.alloc.rcu.Elapsed(ck) }
 
@@ -311,7 +337,7 @@ func (c *Cache) elapsedLocal(cl *cpuLocal, ck rcu.Cookie) bool {
 // backlog drops to zero and the cache shrinks to the configured limit.
 func (c *Cache) shrinkLimit() int {
 	per := c.base.Cfg.ObjectsPerSlab()
-	return c.base.Cfg.FreeSlabLimit + int(c.latentTotal.Load())/per
+	return c.base.Cfg.FreeSlabLimit + int(c.LatentTotal())/per
 }
 
 // Malloc implements alloc.Cache following Algorithm 1's MALLOC.
@@ -355,8 +381,15 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 				return r, nil
 			}
 		}
-		// Line 12: refill, sized by the latent backlog.
-		c.refill(cpu, cl)
+		// Line 12: refill from this CPU's node, sized by the latent
+		// backlog. Before growing, refill from the sibling nodes (SLUB's
+		// get_any_partial), so no CPU grows — or runs out of memory —
+		// while another CPU's node holds allocatable objects.
+		node := c.base.NodeFor(cpu)
+		moved := c.refill(cpu, cl, node)
+		for i := 1; moved == 0 && i < len(c.base.NodesArr); i++ {
+			moved = c.refill(cpu, cl, c.base.Sibling(node, i))
+		}
 		if r := cl.objs.TryGet(); !r.IsZero() {
 			cl.objs.Unlock()
 			c.base.UserAlloc(cpu)
@@ -369,11 +402,10 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 		// IRQs before entering the buddy allocator; the stand-in grows
 		// under the cache lock and accepts that the page allocator's
 		// bounded zeroer wait may sleep there.
-		node := c.base.NodeFor(cpu)
 		_, err := c.base.NewSlab(node) //prudence:nolint:sleepcheck grow-under-cache-lock stand-in: the zeroer wait in pagealloc is bounded, and dropping the owner lock here would let visitors race the grow
 		if err == nil {
 			c.base.Trace(trace.KindGrow, cpu, 1, 0)
-			c.refill(cpu, cl)
+			c.refill(cpu, cl, node)
 			r := cl.objs.TryGet()
 			cl.objs.Unlock()
 			if r.IsZero() {
@@ -395,7 +427,7 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 		// Lines 31-33: on exhaustion, wait for a grace period if
 		// deferred objects are pending somewhere; they become
 		// reallocatable once it elapses.
-		if c.alloc.opts.DisableOOMDelay || c.latentTotal.Load() == 0 {
+		if c.alloc.opts.DisableOOMDelay || c.LatentTotal() == 0 {
 			ctr.OOMs.Add(1)
 			c.base.Trace(trace.KindOOM, cpu, 0, 0)
 			return slabcore.Ref{}, err
@@ -432,7 +464,7 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 		// waiting as long as deferred objects are pending: deferral is
 		// the system's guarantee that memory is coming back.
 		for _, n := range c.base.NodesArr {
-			c.reconcileNode(n)
+			cl.latentCount.Add(-int64(c.reconcileNode(n)))
 		}
 	}
 }
@@ -465,23 +497,23 @@ func (c *Cache) mergeCaches(cl *cpuLocal) int {
 		cl.objs.Put(lo.ref)
 	}
 	cl.latent = append(cl.latent[:0], cl.latent[n:]...)
-	c.latentTotal.Add(int64(-n))
+	cl.latentCount.Add(int64(-n))
 	return n
 }
 
-// refill implements REFILL_OBJECT_CACHE (lines 13-30): partial refill
-// sized by the latent backlog, selecting slabs to minimize total
-// fragmentation. Objects move by whole freelist segments (FillFrom),
-// one splice per selected slab under the node lock. Caller holds cl's
-// cache lock.
+// refill implements REFILL_OBJECT_CACHE (lines 13-30) from node:
+// partial refill sized by the latent backlog, selecting slabs to
+// minimize total fragmentation. Objects move by whole freelist segments
+// (FillFrom), one splice per selected slab under the node lock. Returns
+// the number of objects moved. Caller holds cl's cache lock.
 //
 //prudence:requires PerCPUCache
-func (c *Cache) refill(cpu int, cl *cpuLocal) {
+func (c *Cache) refill(cpu int, cl *cpuLocal, node *slabcore.Node) int {
 	// Chaos: a failed refill leaves the object cache empty; Malloc falls
 	// through to grow (and eventually the OOM path).
 	//prudence:fault_point
 	if fault.Fire(fault.RefillFail) {
-		return
+		return 0
 	}
 	full := cl.objs.Size - cl.objs.Len()
 	want := full
@@ -503,11 +535,10 @@ func (c *Cache) refill(cpu int, cl *cpuLocal) {
 	if want <= 0 {
 		want = 1
 	}
-	node := c.base.NodeFor(cpu)
 	moved := 0
 	node.Lock()
 	for want > 0 {
-		s := c.selectSlab(node, cl.elapsedFn)
+		s := c.selectSlab(node, cl)
 		if s == nil {
 			break
 		}
@@ -529,6 +560,7 @@ func (c *Cache) refill(cpu int, cl *cpuLocal) {
 		}
 		c.base.Trace(trace.KindRefill, cpu, int64(moved), p)
 	}
+	return moved
 }
 
 // placement returns the node list a slab belongs on under Prudence's
@@ -546,18 +578,21 @@ func (c *Cache) placement(s *slabcore.Slab) slabcore.ListID {
 // partial slabs, reconciling their latent entries, and prefer the slab
 // with the most live objects, skipping slabs whose live objects are
 // mostly deferred so they can drain to empty. Falls back to the free
-// list. elapsed is the caller's grace-period poll (refill passes the
-// CPU's cached one so a scan costs at most one shared-state read).
-// Caller holds the node lock. Returns nil if nothing allocatable.
-func (c *Cache) selectSlab(node *slabcore.Node, elapsed func(rcu.Cookie) bool) *slabcore.Slab {
+// list. Reconciliation uses cl's cached grace-period poll, so a scan
+// costs at most one shared-state read, and charges promotions to cl's
+// latent share. Caller holds the node lock and cl's cache lock. Returns
+// nil if nothing allocatable.
+func (c *Cache) selectSlab(node *slabcore.Node, cl *cpuLocal) *slabcore.Slab {
 	var best, fallback *slabcore.Slab
-	var misplaced []*slabcore.Slab
+	var misplacedArr [16]*slabcore.Slab // the walk is bounded; keep the list off the heap
+	misplaced := misplacedArr[:0]
+	elapsed := cl.elapsedFn
 	bestScore := -1
 	scan := c.alloc.opts.SlabScanLimit
 	node.WalkPartial(scan, func(s *slabcore.Slab) bool {
 		if s.LatentCount() > 0 {
 			if n := s.Reconcile(elapsed, c.base.Cfg.Poison); n > 0 {
-				c.latentTotal.Add(int64(-n))
+				cl.latentCount.Add(int64(-n))
 				// Reconciliation may have emptied the slab entirely;
 				// re-home it after the walk or it strands on the
 				// partial list where shrink never finds it.
@@ -603,7 +638,7 @@ func (c *Cache) selectSlab(node *slabcore.Node, elapsed func(rcu.Cookie) bool) *
 	for s := node.FirstFree(); s != nil; s = s.NextInList() {
 		if s.LatentCount() > 0 {
 			if n := s.Reconcile(elapsed, c.base.Cfg.Poison); n > 0 {
-				c.latentTotal.Add(int64(-n))
+				cl.latentCount.Add(int64(-n))
 			}
 		}
 		if s.FreeCount() > 0 {
@@ -616,8 +651,9 @@ func (c *Cache) selectSlab(node *slabcore.Node, elapsed func(rcu.Cookie) bool) *
 }
 
 // reconcileNode promotes elapsed latent objects in all of a node's
-// slabs and fixes up placements, returning the number promoted. Called
-// from the OOM-delay retry path and Drain.
+// slabs and fixes up placements, returning the number promoted; the
+// caller subtracts it from its latent share. Called from the OOM-delay
+// retry path and Drain.
 func (c *Cache) reconcileNode(node *slabcore.Node) int {
 	node.Lock()
 	var moved []*slabcore.Slab
@@ -625,10 +661,7 @@ func (c *Cache) reconcileNode(node *slabcore.Node) int {
 	walk := func(first *slabcore.Slab) {
 		for s := first; s != nil; s = s.NextInList() {
 			if s.LatentCount() > 0 {
-				if n := s.Reconcile(c.elapsed, c.base.Cfg.Poison); n > 0 {
-					c.latentTotal.Add(int64(-n))
-					total += n
-				}
+				total += s.Reconcile(c.elapsed, c.base.Cfg.Poison)
 			}
 			// Re-home any slab whose placement drifted (e.g. it was
 			// reconciled by an earlier pass that could not move it).
@@ -668,7 +701,7 @@ func (c *Cache) Free(cpu int, r slabcore.Ref) {
 	c.flushLocked(cpu, cl)
 	cl.objs.Unlock()
 	_, promoted := c.base.ShrinkNode(c.base.NodeFor(cpu), c.shrinkLimit(), c.elapsed)
-	c.latentTotal.Add(int64(-promoted))
+	cl.latentCount.Add(int64(-promoted))
 }
 
 // flushLocked flushes the object cache to the node lists; the amount
@@ -692,7 +725,8 @@ func (c *Cache) flushLocked(cpu int, cl *cpuLocal) {
 		}
 		cl.predAllocs, cl.predFrees = 0, 0
 	}
-	victims := cl.objs.Take(n)
+	victims := cl.objs.TakeInto(cl.flushBuf[:0], n)
+	cl.flushBuf = victims[:0]
 	if len(victims) == 0 {
 		return
 	}
@@ -722,7 +756,7 @@ func (c *Cache) FreeDeferred(cpu int, r slabcore.Ref) {
 	cl.freesSince++
 	if len(cl.latent) < threshold { // line 39: fast path
 		cl.latent = append(cl.latent, latentObj{ref: r, cookie: cookie})
-		c.latentTotal.Add(1)
+		cl.latentCount.Add(1)
 		if cl.objs.Len()+len(cl.latent) > cl.objs.Size { // lines 41-43
 			c.armPreflush(cpu, cl)
 		}
@@ -735,7 +769,7 @@ func (c *Cache) FreeDeferred(cpu int, r slabcore.Ref) {
 	c.mergeCaches(cl)
 	if len(cl.latent) < threshold {
 		cl.latent = append(cl.latent, latentObj{ref: r, cookie: cookie})
-		c.latentTotal.Add(1)
+		cl.latentCount.Add(1)
 		cl.objs.Unlock()
 		return
 	}
@@ -744,50 +778,25 @@ func (c *Cache) FreeDeferred(cpu int, r slabcore.Ref) {
 	// reconciled where they lie) rather than paying a node-lock
 	// round-trip per deferred object, and keep the newest — including
 	// the current one — in the latent cache for cheap merging.
-	spillCount := threshold / 2
-	if spillCount < 1 {
-		spillCount = 1
-	}
-	spill := make([]latentObj, spillCount)
-	copy(spill, cl.latent[:spillCount])
+	spillCount := max(threshold/2, 1)
+	cl.spillBuf = append(cl.spillBuf[:0], cl.latent[:spillCount]...)
 	cl.latent = append(cl.latent[:0], cl.latent[spillCount:]...)
 	cl.latent = append(cl.latent, latentObj{ref: r, cookie: cookie})
-	c.latentTotal.Add(1)
+	cl.latentCount.Add(1)
 	cl.objs.Unlock()
 
 	// Spilling means the deferred-free rate has outrun grace-period
 	// progress (merge could not free latent space): expedite.
 	c.alloc.rcu.ExpediteGP()
-	c.spillLatentBatch(spill)
-}
-
-// putLatentSlab parks a deferred object in its slab's latent list and
-// performs PRE_MOVE_SLAB (lines 52-59).
-func (c *Cache) putLatentSlab(r slabcore.Ref, cookie rcu.Cookie) {
-	node := r.Slab.Node()
-	node.Lock()
-	r.Slab.PushLatent(r.Idx, cookie)
-	c.latentTotal.Add(1)
-	if !c.alloc.opts.DisablePreMove {
-		want := slabcore.PredictedList(r.Slab)
-		if want != r.Slab.List() {
-			node.Move(r.Slab, want)
-			c.base.Ctr.PreMoves.Add(1)
-			c.base.Trace(trace.KindPreMove, -1, int64(want), 0)
-		}
-	}
-	freeOver := node.FreeSlabs() > c.shrinkLimit()
-	node.Unlock()
-	if freeOver {
-		c.maybeShrink(node)
-	}
+	c.spillLatentBatch(cpu, cl, cl.spillBuf)
 }
 
 // maybeShrink shrinks the node's free list at most once per completed
 // grace period: latent-blocked slabs cannot become reclaimable without
 // a new grace period, and scanning them repeatedly under the node lock
 // would starve the other CPUs (and thereby the grace period itself).
-func (c *Cache) maybeShrink(node *slabcore.Node) {
+// Slabs freed and objects promoted are charged to cpu and cl.
+func (c *Cache) maybeShrink(cpu int, cl *cpuLocal, node *slabcore.Node) {
 	gate := &c.shrinkGate[node.ID()]
 	gp := c.alloc.rcu.GPsCompleted() + 1 // +1: GP 0 state must still allow the first shrink
 	for {
@@ -800,9 +809,9 @@ func (c *Cache) maybeShrink(node *slabcore.Node) {
 		}
 	}
 	freed, promoted := c.base.ShrinkNode(node, c.shrinkLimit(), c.elapsed)
-	c.latentTotal.Add(int64(-promoted))
+	cl.latentCount.Add(int64(-promoted))
 	if freed > 0 {
-		c.base.Trace(trace.KindShrink, -1, int64(freed), 0)
+		c.base.Trace(trace.KindShrink, cpu, int64(freed), 0)
 	}
 }
 
@@ -815,7 +824,7 @@ func (c *Cache) armPreflush(cpu int, cl *cpuLocal) {
 		return
 	}
 	cl.preflushArmed = true
-	c.alloc.machine.CPU(cpu).ScheduleIdle(func() { c.preflush(cpu) })
+	c.alloc.machine.CPU(cpu).ScheduleIdle(cl.preflushFn)
 }
 
 // preflush runs on the CPU's idle worker (§4.2 "Latent cache
@@ -859,59 +868,53 @@ func (c *Cache) preflush(cpu int) {
 			cl.objs.Unlock()
 			return
 		}
-		moved := make([]latentObj, batch)
-		copy(moved, cl.latent[:batch])
+		cl.preflushBuf = append(cl.preflushBuf[:0], cl.latent[:batch]...)
 		cl.latent = append(cl.latent[:0], cl.latent[batch:]...)
 		cl.objs.Unlock()
 
 		c.base.Ctr.PreFlushes.Add(1)
 		c.base.Trace(trace.KindPreFlush, cpu, int64(batch), 0)
-		c.spillLatentBatch(moved)
+		c.spillLatentBatch(cpu, cl, cl.preflushBuf)
 	}
 }
 
 // spillLatentBatch moves latent-cache entries into their latent slabs
 // under one node-lock acquisition per node, pre-moving each touched
-// slab once. Batching is what lets pre-flush spread node-list work over
-// idle time instead of adding a lock round-trip per deferred object.
-func (c *Cache) spillLatentBatch(entries []latentObj) {
-	var touched []*slabcore.Slab // batches are small; linear dedup beats a map allocation
+// slab once (PRE_MOVE_SLAB, lines 52-59). Batching is what lets
+// pre-flush spread node-list work over idle time instead of adding a
+// lock round-trip per deferred object. It allocates nothing: entries
+// is the caller's buffer and is reordered in place. Pre-moves and
+// shrinks are charged to cpu and cl.
+func (c *Cache) spillLatentBatch(cpu int, cl *cpuLocal, entries []latentObj) {
 	for len(entries) > 0 {
 		node := entries[0].ref.Slab.Node()
-		rest := entries[:0]
-		touched = touched[:0]
 		node.Lock()
+		for _, lo := range entries {
+			if lo.ref.Slab.Node() == node {
+				lo.ref.Slab.PushLatent(lo.ref.Idx, lo.cookie)
+			}
+		}
+		// Pre-move once every push is in: the first entry of a slab
+		// moves it, the rest find it already placed.
+		rest := entries[:0]
 		for _, lo := range entries {
 			if lo.ref.Slab.Node() != node {
 				rest = append(rest, lo)
 				continue
 			}
-			lo.ref.Slab.PushLatent(lo.ref.Idx, lo.cookie)
-			seen := false
-			for _, s := range touched {
-				if s == lo.ref.Slab {
-					seen = true
-					break
-				}
+			if c.alloc.opts.DisablePreMove {
+				continue
 			}
-			if !seen {
-				touched = append(touched, lo.ref.Slab)
-			}
-		}
-		if !c.alloc.opts.DisablePreMove {
-			for _, s := range touched {
-				want := slabcore.PredictedList(s)
-				if want != s.List() {
-					node.Move(s, want)
-					c.base.Ctr.PreMoves.Add(1)
-					c.base.Trace(trace.KindPreMove, -1, int64(want), 0)
-				}
+			if want := slabcore.PredictedList(lo.ref.Slab); want != lo.ref.Slab.List() {
+				node.Move(lo.ref.Slab, want)
+				c.base.Ctr.PreMoves.Add(1)
+				c.base.Trace(trace.KindPreMove, cpu, int64(want), 0)
 			}
 		}
 		freeOver := node.FreeSlabs() > c.shrinkLimit()
 		node.Unlock()
 		if freeOver {
-			c.maybeShrink(node)
+			c.maybeShrink(cpu, cl, node)
 		}
 		entries = rest
 	}
@@ -922,7 +925,7 @@ func (c *Cache) spillLatentBatch(entries []latentObj) {
 func (c *Cache) Drain() {
 	for {
 		// Flush per-CPU object caches and spill latent caches to slabs.
-		for _, cl := range c.percpu {
+		for cpu, cl := range c.percpu {
 			cl.objs.LockRemote()
 			c.mergeCaches(cl)
 			objs := cl.objs.TakeAll()
@@ -933,17 +936,16 @@ func (c *Cache) Drain() {
 				c.base.Ctr.Flushes.Add(1)
 				c.base.ReleaseRefs(objs, c.placeFn)
 			}
-			for _, lo := range lat {
-				c.latentTotal.Add(-1)
-				c.putLatentSlab(lo.ref, lo.cookie)
-			}
+			c.spillLatentBatch(cpu, cl, lat)
 		}
+		// Drain runs for no CPU in particular; charge CPU 0's share.
+		cl := c.percpu[0]
 		for _, n := range c.base.NodesArr {
-			c.reconcileNode(n)
-			_, promoted := c.base.ShrinkNode(n, 0, c.elapsed)
-			c.latentTotal.Add(int64(-promoted))
+			promoted := c.reconcileNode(n)
+			_, shrunk := c.base.ShrinkNode(n, 0, c.elapsed)
+			cl.latentCount.Add(-int64(promoted + shrunk))
 		}
-		if c.latentTotal.Load() == 0 && c.percpuEmpty() {
+		if c.LatentTotal() == 0 && c.percpuEmpty() {
 			return
 		}
 		// A stopped backend can never elapse the remaining latent

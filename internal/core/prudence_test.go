@@ -212,10 +212,29 @@ func TestOOMDelayReclaimsDeferred(t *testing.T) {
 	}
 	// Defer-free half of the objects; the arena is still fully
 	// committed, but after a grace period those objects are reusable.
+	// A reader on CPU 1 holds the grace period open until Malloc is
+	// inside the OOM path, so the premise — no deferred object has
+	// elapsed when the allocation runs out of pages — holds however
+	// fast the engine is.
+	release := holdGracePeriod(s)
 	for _, r := range refs[:32] {
 		c.FreeDeferred(0, r)
 	}
-	r, err := c.Malloc(0)
+	type result struct {
+		r   slabcore.Ref
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		r, err := c.Malloc(0)
+		done <- result{r, err}
+	}()
+	for c.Counters().Snapshot().GPWaits == 0 && len(done) == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	release()
+	res := <-done
+	r, err := res.r, res.err
 	if err != nil {
 		t.Fatalf("allocation with pending deferred objects failed: %v", err)
 	}
@@ -227,6 +246,18 @@ func TestOOMDelayReclaimsDeferred(t *testing.T) {
 		c.Free(0, x)
 	}
 	c.Drain()
+}
+
+// holdGracePeriod puts CPU 1 in a read-side critical section, so no
+// grace period can complete until the returned release runs.
+func holdGracePeriod(s *alloctest.Stack) (release func()) {
+	s.RCU.ExitIdle(1)
+	s.RCU.ReadLock(1)
+	return func() {
+		s.RCU.ReadUnlock(1)
+		s.RCU.QuiescentState(1)
+		s.RCU.EnterIdle(1)
+	}
 }
 
 // Without OOM delay, the same situation fails immediately.
@@ -346,10 +377,16 @@ func TestOOMDelayExpireFaultInjection(t *testing.T) {
 		}
 		refs = append(refs, r)
 	}
+	// Hold the grace period open for the whole allocation: the forced
+	// expiries are the only way out of the OOM path, so a grace period
+	// elapsing between retries must not hand Malloc a merged object.
+	release := holdGracePeriod(s)
 	for _, r := range refs[:len(refs)/2] {
 		c.FreeDeferred(0, r)
 	}
-	if _, err := c.Malloc(0); !errors.Is(err, pagealloc.ErrOutOfMemory) {
+	_, err := c.Malloc(0)
+	release()
+	if !errors.Is(err, pagealloc.ErrOutOfMemory) {
 		t.Fatalf("expected forced OOM, got %v", err)
 	}
 	if got := c.Counters().Snapshot().OOMDelayTimeouts; got < 2 {

@@ -97,11 +97,10 @@ type EBR struct {
 	percpu  []*cpuState
 
 	epoch atomic.Uint64 // global epoch counter
-	// needGP is plain demand; expedite additionally asks the advancer
-	// to skip the inter-advance pacing gap. Both are cleared when the
-	// grace period (advance pair) they hastened completes.
-	needGP   atomic.Bool
-	expedite atomic.Bool
+	// demand holds plain demand (NeedGP) and expedited demand
+	// (ExpediteGP: skip the inter-advance pacing gap). Both are cleared
+	// when the grace period (advance pair) they hastened completes.
+	demand *gsync.Demand
 	// expeditedAdvances counts epoch advances taken on the expedited
 	// path (pacing gap skipped).
 	expeditedAdvances atomic.Uint64
@@ -110,7 +109,6 @@ type EBR struct {
 
 	gpMu   sync.Mutex
 	gpCond *sync.Cond
-	kick   chan struct{}
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -123,7 +121,7 @@ func New(machine *vcpu.Machine, opts Options) *EBR {
 		machine: machine,
 		opts:    opts.withDefaults(),
 		percpu:  make([]*cpuState, machine.NumCPU()),
-		kick:    make(chan struct{}, 1),
+		demand:  gsync.NewDemand(),
 		stop:    make(chan struct{}),
 	}
 	e.gpCond = sync.NewCond(&e.gpMu)
@@ -227,37 +225,14 @@ func (e *EBR) Elapsed(c gsync.Cookie) bool {
 }
 
 // NeedGP signals demand for epoch advances.
-func (e *EBR) NeedGP() {
-	e.needGP.Store(true)
-	// Chaos: a lost wakeup drops the kick after demand is recorded; the
-	// advancer's timer fallback must recover.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
-}
+func (e *EBR) NeedGP() { e.demand.Need() }
 
 // ExpediteGP raises expedited demand: the advancer skips the
 // inter-advance pacing gap for the next grace period (advance pair)
 // instead of holding AdvanceInterval between advances. The demand
 // survives a lost kick exactly as NeedGP's does — the advancer reads
 // the flag on its timer fallback.
-func (e *EBR) ExpediteGP() {
-	e.needGP.Store(true)
-	e.expedite.Store(true)
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
-}
+func (e *EBR) ExpediteGP() { e.demand.Expedite() }
 
 // GPsCompleted returns completed grace periods (epoch advances halved,
 // so once-per-GP gates fire at the paper's granularity).
@@ -348,11 +323,11 @@ func (e *EBR) advancer() {
 	last := time.Now()
 	pairStart := last
 	for {
-		if !e.needGP.Load() {
+		if !e.demand.Needed() {
 			select {
 			case <-e.stop:
 				return
-			case <-e.kick:
+			case <-e.demand.Kicked():
 			case <-timer.C:
 				timer.Reset(e.opts.AdvanceInterval)
 			}
@@ -360,7 +335,7 @@ func (e *EBR) advancer() {
 		}
 		expedited := false
 		for {
-			if e.expedite.Load() {
+			if e.demand.Expedited() {
 				expedited = true
 				break
 			}
@@ -371,7 +346,7 @@ func (e *EBR) advancer() {
 			select {
 			case <-e.stop:
 				return
-			case <-e.kick:
+			case <-e.demand.Kicked():
 				// Re-check: the kick may carry expedited demand.
 			case <-time.After(e.opts.AdvanceInterval - gap):
 			}
@@ -415,8 +390,8 @@ func (e *EBR) advancer() {
 		// is consumed with it: the grace period it hastened is done.
 		if (cur+1)%2 == 0 {
 			e.gpHist.Observe(last.Sub(pairStart))
-			e.needGP.Store(false)
-			e.expedite.Store(false)
+			e.demand.ClearNeed()
+			e.demand.ClearExpedite()
 		} else {
 			pairStart = last
 		}

@@ -156,11 +156,10 @@ type HP struct {
 	// eraCounter starts at 1 so a published era is never the 0
 	// sentinel.
 	eraCounter atomic.Uint64
-	needGP     atomic.Bool
-	// expedite records expedited demand (ExpediteGP): the driver skips
-	// its pacing gap while set. Cleared when the advance it hastened
-	// publishes.
-	expedite          atomic.Bool
+	// demand holds plain demand (NeedGP) and expedited demand
+	// (ExpediteGP: the driver skips its pacing gap). Both are cleared
+	// when the advance they hastened publishes.
+	demand            *gsync.Demand
 	expeditedAdvances atomic.Uint64
 	pressured         atomic.Bool
 
@@ -169,8 +168,6 @@ type HP struct {
 	scans      atomic.Uint64
 	reclaimed  atomic.Uint64
 	gpHist     stats.Histogram // latency between demanded era advances
-
-	kick chan struct{}
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -183,7 +180,7 @@ func New(machine *vcpu.Machine, opts Options) *HP {
 		machine: machine,
 		opts:    opts.withDefaults(machine.NumCPU()),
 		percpu:  make([]*cpuState, machine.NumCPU()),
-		kick:    make(chan struct{}, 1),
+		demand:  gsync.NewDemand(),
 		stop:    make(chan struct{}),
 	}
 	h.eraCounter.Store(1)
@@ -323,38 +320,13 @@ func (h *HP) minPublishedEra() uint64 {
 }
 
 // NeedGP signals demand for era advances.
-func (h *HP) NeedGP() {
-	h.needGP.Store(true)
-	// Chaos: a lost wakeup drops the kick after demand is recorded; the
-	// driver's timer fallback must recover.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case h.kick <- struct{}{}:
-	default:
-	}
-}
+func (h *HP) NeedGP() { h.demand.Need() }
 
 // ExpediteGP raises expedited demand: the driver advances the era and
 // scans without waiting out the pacing gap (safety lives entirely in
 // the per-entry protection checks, so there is no protocol reason to
 // pace). One-shot: consumed when the advance it hastened publishes.
-func (h *HP) ExpediteGP() {
-	h.expedite.Store(true)
-	h.needGP.Store(true)
-	// Chaos: as in NeedGP, the recorded demand, not the kick, carries
-	// the liveness guarantee.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case h.kick <- struct{}{}:
-	default:
-	}
-}
+func (h *HP) ExpediteGP() { h.demand.Expedite() }
 
 // GPsCompleted counts completed grace periods: era advances.
 func (h *HP) GPsCompleted() uint64 { return h.eraCounter.Load() - 1 }
@@ -593,11 +565,11 @@ func (h *HP) driver() {
 	demandStart := last
 	demandFresh := false
 	for {
-		if !h.needGP.Load() {
+		if !h.demand.Needed() {
 			select {
 			case <-h.stop:
 				return
-			case <-h.kick:
+			case <-h.demand.Kicked():
 			case <-timer.C:
 				timer.Reset(h.opts.AdvanceInterval)
 				// A backlog with no live demand (its NeedGP kick was
@@ -607,10 +579,10 @@ func (h *HP) driver() {
 				// coming, or the memory lingers until the next
 				// retirement.
 				if h.pending.Load() > 0 {
-					h.needGP.Store(true)
+					h.demand.Need()
 				}
 			}
-			if h.needGP.Load() && !demandFresh {
+			if h.demand.Needed() && !demandFresh {
 				demandFresh = true
 				demandStart = time.Now()
 			}
@@ -625,7 +597,7 @@ func (h *HP) driver() {
 		// carry safety, never this pacing).
 		expedited := false
 		for {
-			if h.expedite.Load() {
+			if h.demand.Expedited() {
 				expedited = true
 				break
 			}
@@ -636,7 +608,7 @@ func (h *HP) driver() {
 			select {
 			case <-h.stop:
 				return
-			case <-h.kick:
+			case <-h.demand.Kicked():
 				// Re-check: the kick may carry expedited demand.
 			case <-time.After(h.opts.AdvanceInterval - gap):
 			}
@@ -658,8 +630,8 @@ func (h *HP) driver() {
 		last = time.Now()
 		h.gpHist.Observe(last.Sub(demandStart))
 		demandFresh = false
-		h.needGP.Store(false)
-		h.expedite.Store(false)
+		h.demand.ClearNeed()
+		h.demand.ClearExpedite()
 		h.scanAll()
 	}
 }

@@ -265,7 +265,9 @@ func (a *Arena) Release(n int) {
 
 // AddSampler registers fn to be invoked (synchronously) whenever the
 // used-page count changes. Samplers feed the used-memory time series of
-// Figure 3. fn must be fast and must not call back into the arena.
+// Figure 3. fn must be fast and must not call back into the arena or
+// the page allocator over it: the page allocator releases frames with
+// its free-list lock held.
 func (a *Arena) AddSampler(fn func(usedPages, totalPages int)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -117,11 +117,11 @@ type NEBR struct {
 	opts    Options
 	percpu  []*cpuState
 
-	epoch  atomic.Uint64 // global epoch counter
-	needGP atomic.Bool
-	// expedite records expedited demand (ExpediteGP): the advancer skips
-	// its pacing gap while set. Cleared with needGP on even advances.
-	expedite          atomic.Bool
+	epoch atomic.Uint64 // global epoch counter
+	// demand holds plain demand (NeedGP) and expedited demand
+	// (ExpediteGP: the advancer skips its pacing gap). Both are cleared
+	// on even advances.
+	demand            *gsync.Demand
 	expeditedAdvances atomic.Uint64
 	gpHist            stats.Histogram // latency of each two-advance grace period
 	queue             *gsync.RetireQueue
@@ -136,7 +136,6 @@ type NEBR struct {
 	//prudence:lockorder 52
 	gpMu   sync.Mutex
 	gpCond *sync.Cond
-	kick   chan struct{}
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -150,7 +149,7 @@ func New(machine *vcpu.Machine, opts Options) *NEBR {
 		machine: machine,
 		opts:    opts.withDefaults(),
 		percpu:  make([]*cpuState, machine.NumCPU()),
-		kick:    make(chan struct{}, 1),
+		demand:  gsync.NewDemand(),
 		stop:    make(chan struct{}),
 	}
 	e.gpCond = sync.NewCond(&e.gpMu)
@@ -315,39 +314,14 @@ func (e *NEBR) Elapsed(c gsync.Cookie) bool {
 }
 
 // NeedGP signals demand for epoch advances.
-func (e *NEBR) NeedGP() {
-	e.needGP.Store(true)
-	// Chaos: a lost wakeup drops the kick after demand is recorded; the
-	// advancer's timer fallback must recover.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
-}
+func (e *NEBR) NeedGP() { e.demand.Need() }
 
 // ExpediteGP raises expedited demand: the next grace period is driven
 // with the pacing gap between advances skipped (stragglers are still
 // waited out or neutralized — expediting never weakens the safety
 // protocol). One-shot: consumed when the advance pair it hastened
 // completes.
-func (e *NEBR) ExpediteGP() {
-	e.expedite.Store(true)
-	e.needGP.Store(true)
-	// Chaos: as in NeedGP, the recorded demand, not the kick, carries
-	// the liveness guarantee.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
-}
+func (e *NEBR) ExpediteGP() { e.demand.Expedite() }
 
 // GPsCompleted returns completed grace periods (epoch advances halved).
 func (e *NEBR) GPsCompleted() uint64 { return e.epoch.Load() / 2 }
@@ -458,11 +432,11 @@ func (e *NEBR) advancer() {
 	last := time.Now()
 	pairStart := last
 	for {
-		if !e.needGP.Load() {
+		if !e.demand.Needed() {
 			select {
 			case <-e.stop:
 				return
-			case <-e.kick:
+			case <-e.demand.Kicked():
 			case <-timer.C:
 				timer.Reset(e.opts.AdvanceInterval)
 			}
@@ -473,7 +447,7 @@ func (e *NEBR) advancer() {
 		// wait below, never on this pacing).
 		expedited := false
 		for {
-			if e.expedite.Load() {
+			if e.demand.Expedited() {
 				expedited = true
 				break
 			}
@@ -484,7 +458,7 @@ func (e *NEBR) advancer() {
 			select {
 			case <-e.stop:
 				return
-			case <-e.kick:
+			case <-e.demand.Kicked():
 				// Re-check: the kick may carry expedited demand.
 			case <-time.After(e.opts.AdvanceInterval - gap):
 			}
@@ -542,8 +516,8 @@ func (e *NEBR) advancer() {
 		last = time.Now()
 		if (cur+1)%2 == 0 {
 			e.gpHist.Observe(last.Sub(pairStart))
-			e.needGP.Store(false)
-			e.expedite.Store(false)
+			e.demand.ClearNeed()
+			e.demand.ClearExpedite()
 		} else {
 			pairStart = last
 		}

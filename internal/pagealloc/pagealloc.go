@@ -518,13 +518,17 @@ func (a *Allocator) Free(r Run) error {
 		return fmt.Errorf("%w: start %d freed as order %d, allocated as order %d", ErrWrongOrder, r.Start, r.Order, order)
 	}
 	delete(a.shards[g].blockOrd, r.Start)
+	// Release the frames before the block becomes allocatable: once it
+	// is back on a free list a concurrent alloc can take it and Acquire
+	// its frames, and with the arena full that Acquire must not run
+	// ahead of this Release.
+	a.arena.Release(1 << r.Order)
 	locked := g
 	a.coalesceInsert(r.Start, r.Order, false, &locked)
 	a.freePages.Add(1 << r.Order)
 	a.frees.Add(1)
 	a.unlockFrom(g, locked)
 
-	a.arena.Release(1 << r.Order)
 	a.checkPressure()
 	if fn := a.onDirtyFree.Load(); fn != nil {
 		(*fn)()

@@ -324,3 +324,43 @@ func TestConcurrentAllocFree(t *testing.T) {
 		t.Fatalf("FreePages = %d after balanced concurrent ops, want 256", got)
 	}
 }
+
+// A full arena under concurrent alloc/free churn must never
+// over-commit. Free has to release a block's frames before the block
+// is back on a free list: otherwise a concurrent alloc can take the
+// block — here the order-1 block a free coalesces — and acquire its
+// frames first, and memarena panics on the over-commit.
+func TestConcurrentChurnOnFullArenaNeverOvercommits(t *testing.T) {
+	a := newAlloc(2) // one buddy pair: every order-1 alloc needs both pages
+	spin := func(order int) Run {
+		for {
+			if r, err := a.Alloc(order); err == nil {
+				return r
+			}
+		}
+	}
+	free := func(r Run) {
+		if err := a.Free(r); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // churns single pages
+		defer wg.Done()
+		for i := 0; i < 50000; i++ {
+			free(spin(0))
+		}
+	}()
+	go func() { // churns a page, then the whole pair
+		defer wg.Done()
+		for i := 0; i < 50000; i++ {
+			free(spin(0))
+			free(spin(1))
+		}
+	}()
+	wg.Wait()
+	if used := a.Arena().UsedPages(); used != 0 {
+		t.Fatalf("arena UsedPages() = %d after churn, want 0", used)
+	}
+}

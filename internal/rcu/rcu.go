@@ -187,11 +187,11 @@ type RCU struct {
 	gpCompleted atomic.Uint64
 
 	pending atomic.Int64 // callbacks not yet invoked
-	needGP  atomic.Bool  // external demand for a grace period (Prudence)
-	// expedite records expedited demand (ExpediteGP): the driver skips
-	// the inter-GP gap while set. Cleared when the grace period it
-	// hastened completes.
-	expedite     atomic.Bool
+	// demand records NeedGP (external demand, e.g. Prudence's latent
+	// objects; cleared when the next grace period starts) and
+	// ExpediteGP (the driver skips the inter-GP gap; cleared when the
+	// grace period it hastened completes). Its kick wakes the driver.
+	demand       *gsync.Demand
 	expeditedGPs atomic.Uint64
 	pressure     atomic.Bool
 
@@ -199,7 +199,6 @@ type RCU struct {
 	gpMu sync.Mutex
 	//prudence:guarded_by gpMu
 	gpCond *sync.Cond
-	kick   chan struct{}
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -225,7 +224,7 @@ func New(machine *vcpu.Machine, opts Options) *RCU {
 		machine:   machine,
 		opts:      opts.withDefaults(),
 		percpu:    make([]*cpuState, machine.NumCPU()),
-		kick:      make(chan struct{}, 1),
+		demand:    gsync.NewDemand(),
 		stop:      make(chan struct{}),
 		qsReports: metrics.NewCounter(machine.NumCPU()),
 	}
@@ -403,39 +402,13 @@ func (r *RCU) Elapsed(c Cookie) bool {
 
 // NeedGP tells the driver that someone is waiting on a grace period
 // even though no callbacks are queued (Prudence's latent objects).
-func (r *RCU) NeedGP() {
-	r.needGP.Store(true)
-	// Chaos: a lost wakeup drops the kick after demand is recorded,
-	// leaving recovery to the driver's timer fallback — the failure mode
-	// behind the PR 2 waitElapsed hang.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
+func (r *RCU) NeedGP() { r.demand.Need() }
 
 // ExpediteGP raises expedited demand: the driver starts the next grace
 // period without waiting out the inter-GP gap (quiescent-state
 // detection is untouched — expediting never weakens the protocol).
 // One-shot: consumed when the grace period it hastened completes.
-func (r *RCU) ExpediteGP() {
-	r.expedite.Store(true)
-	r.needGP.Store(true)
-	// Chaos: as in NeedGP, the recorded demand, not the kick, carries
-	// the liveness guarantee.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
+func (r *RCU) ExpediteGP() { r.demand.Expedite() }
 
 // ExpeditedAdvances returns how many grace periods started on the
 // expedited path (inter-GP gap skipped on demand).
@@ -556,10 +529,7 @@ func (r *RCU) enqueue(cpu int, cb callback) {
 		}
 	}
 	r.cbQueued.Add(1)
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
+	r.demand.Kick()
 	select {
 	case cs.wake <- struct{}{}:
 	default:
@@ -613,10 +583,7 @@ func (r *RCU) SetPressure(under bool) {
 	if under {
 		// Kick everything: the processors to drain, the driver to run
 		// grace periods back to back.
-		select {
-		case r.kick <- struct{}{}:
-		default:
-		}
+		r.demand.Kick()
 		for _, cs := range r.percpu {
 			select {
 			case cs.wake <- struct{}{}:
@@ -698,7 +665,7 @@ func (r *RCU) gpDriver() {
 			select {
 			case <-r.stop:
 				return
-			case <-r.kick:
+			case <-r.demand.Kicked():
 			case <-timer.C:
 				timer.Reset(r.opts.MinGPInterval)
 			}
@@ -706,7 +673,7 @@ func (r *RCU) gpDriver() {
 		}
 		// Enforce the inter-GP gap unless expediting — under pressure
 		// or on explicit expedited demand.
-		expedited := r.pressure.Load() || r.expedite.Load()
+		expedited := r.pressure.Load() || r.demand.Expedited()
 		if !expedited {
 			if gap := time.Since(lastGP); gap < r.opts.MinGPInterval {
 				select {
@@ -715,13 +682,13 @@ func (r *RCU) gpDriver() {
 				case <-time.After(r.opts.MinGPInterval - gap):
 				}
 				// Expedited demand may have arrived during the gap.
-				expedited = r.pressure.Load() || r.expedite.Load()
+				expedited = r.pressure.Load() || r.demand.Expedited()
 			}
 		}
 		if expedited {
 			r.expeditedGPs.Add(1)
 		}
-		r.needGP.Store(false)
+		r.demand.ClearNeed()
 		target := r.gpStarted.Add(1)
 		gpBegin := time.Now()
 		if !r.waitForQS(target) {
@@ -739,7 +706,7 @@ func (r *RCU) gpDriver() {
 			}
 		}
 		r.gpCompleted.Store(target)
-		r.expedite.Store(false)
+		r.demand.ClearExpedite()
 		r.gpHist.Observe(time.Since(gpBegin))
 		lastGP = time.Now()
 		r.gpMu.Lock()
@@ -755,7 +722,7 @@ func (r *RCU) gpDriver() {
 }
 
 func (r *RCU) demandGP() bool {
-	return r.pending.Load() > 0 || r.needGP.Load()
+	return r.pending.Load() > 0 || r.demand.Needed()
 }
 
 // waitForQS blocks until every CPU has either reported a quiescent state
@@ -894,7 +861,7 @@ func (r *RCU) drainReady(cs *cpuState) {
 // DebugState reports per-CPU quiescent bookkeeping for diagnostics.
 func (r *RCU) DebugState() string {
 	out := fmt.Sprintf("started=%d completed=%d pending=%d needGP=%v pressure=%v |",
-		r.gpStarted.Load(), r.gpCompleted.Load(), r.pending.Load(), r.needGP.Load(), r.pressure.Load())
+		r.gpStarted.Load(), r.gpCompleted.Load(), r.pending.Load(), r.demand.Needed(), r.pressure.Load())
 	for i, cs := range r.percpu {
 		out += fmt.Sprintf(" cpu%d{nest=%d qs=%d idle=%v}", i, cs.nesting.Load(), cs.qsSeq.Load(), cs.idle.Load())
 	}

@@ -214,6 +214,12 @@ type Server struct {
 	wg     stdsync.WaitGroup
 	once   stdsync.Once
 
+	// submitters fences Submit/TrySubmit against Close: a submitter
+	// holds the read side from its closed check to its send, and Close
+	// takes the write side once before its final sweep, so no batch can
+	// land in a queue after the sweep has run.
+	submitters stdsync.RWMutex
+
 	reg     *metrics.Registry
 	latency [numOpKinds]*stats.Histogram
 	opsDone [numOpKinds]*metrics.Counter
@@ -355,6 +361,8 @@ func mix64(x uint64) uint64 {
 // Submit enqueues b on shard, blocking while the queue is full. It
 // fails only once the server is closing.
 func (s *Server) Submit(shard int, b *Batch) error {
+	s.submitters.RLock()
+	defer s.submitters.RUnlock()
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
@@ -372,6 +380,8 @@ func (s *Server) Submit(shard int, b *Batch) error {
 // the backend is behind the update rate, and shedding load without
 // expediting would leave the latent backlog in place.
 func (s *Server) TrySubmit(shard int, b *Batch) error {
+	s.submitters.RLock()
+	defer s.submitters.RUnlock()
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
@@ -674,7 +684,12 @@ func (s *Server) Close() {
 		s.wg.Wait()
 		// A submitter that raced Close may have enqueued after its
 		// worker's final drain pass; fail those batches explicitly so
-		// no client waits forever on a reply.
+		// no client waits forever on a reply. Waiting out the
+		// submitters' read side first means every such send has
+		// happened (blocked ones return on stop), and every later
+		// submitter sees closed.
+		s.submitters.Lock()
+		s.submitters.Unlock()
 		for _, q := range s.queues {
 		sweep:
 			for {

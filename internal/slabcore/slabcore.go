@@ -38,7 +38,10 @@ type CacheConfig struct {
 	// FreeSlabLimit is the number of free slabs a node keeps before the
 	// cache is shrunk (SLUB's min_partial analogue).
 	FreeSlabLimit int
-	// Nodes is the number of NUMA nodes the cache spreads slabs over.
+	// Nodes is the number of nodes the cache spreads slabs over; the
+	// CPUs are split evenly between them. DefaultConfig gives every CPU
+	// its own node, so slab-list work never crosses vCPUs (see
+	// Base.NodeFor). More nodes than CPUs are clamped to the CPU count.
 	Nodes int
 	// CPUs is the number of CPUs (per-CPU caches).
 	CPUs int
@@ -55,7 +58,10 @@ type CacheConfig struct {
 // caches sized down as objects get larger (the paper relies on this in
 // explaining why Figure 6's improvement grows with object size: "larger
 // objects are normally optimized for memory efficiency, hence have fewer
-// objects in object cache and smaller slabs").
+// objects in object cache and smaller slabs"). Every CPU gets its own
+// slab node, so refills, flushes and shrinks of one vCPU never take
+// another vCPU's node lock; allocators fall back to sibling nodes only
+// when their own node has nothing allocatable.
 func DefaultConfig(name string, objectSize, cpus int) CacheConfig {
 	if objectSize <= 0 {
 		panic(fmt.Sprintf("slabcore: non-positive object size %d", objectSize))
@@ -77,7 +83,7 @@ func DefaultConfig(name string, objectSize, cpus int) CacheConfig {
 		SlabOrder:     order,
 		CacheSize:     cacheSize,
 		FreeSlabLimit: 5,
-		Nodes:         1,
+		Nodes:         cpus,
 		CPUs:          cpus,
 	}
 }
@@ -88,6 +94,9 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	}
 	if c.CPUs <= 0 {
 		c.CPUs = 1
+	}
+	if c.Nodes > c.CPUs {
+		c.Nodes = c.CPUs
 	}
 	if c.FreeSlabLimit <= 0 {
 		c.FreeSlabLimit = 5
@@ -166,13 +175,6 @@ type Slab struct {
 	// held by users OR sitting in per-CPU object/latent caches.
 	//prudence:guarded_by Node
 	inUse int
-
-	// touched is scratch state for batched releases (ReleaseRefs and
-	// the allocators' spill paths): marks a slab already seen in the
-	// current batch so list placement runs once per slab, not per
-	// object. Guarded by the node lock; always false between batches.
-	//prudence:guarded_by Node
-	touched bool
 
 	node *Node
 	//prudence:guarded_by Node
@@ -395,15 +397,19 @@ func (l *slabList) front() *Slab { return l.head }
 //prudence:requires Node
 func (l *slabList) len() int { return l.n }
 
-// Node is one NUMA node's share of a slab cache: the full, partial and
-// free slab lists and the lock covering them (the "node list lock" whose
-// contention the paper's pre-flush and pre-movement optimizations are
-// designed to spread out).
+// Node is one node's share of a slab cache (one per vCPU under
+// DefaultConfig): the full, partial and free slab lists and the lock
+// covering them (the "node list lock" whose contention the paper's
+// pre-flush and pre-movement optimizations are designed to spread out).
 //
 //prudence:lockorder 20
 type Node struct {
 	mu sync.Mutex
 	id int
+	// locks counts acquisitions of mu, so tests can see which nodes a
+	// workload's vCPUs actually lock.
+	//prudence:guarded_by Node
+	locks uint64
 	//prudence:guarded_by Node
 	full slabList
 	//prudence:guarded_by Node
@@ -416,7 +422,18 @@ type Node struct {
 func (n *Node) ID() int { return n.id }
 
 // Lock acquires the node list lock.
-func (n *Node) Lock() { n.mu.Lock() }
+func (n *Node) Lock() {
+	n.mu.Lock()
+	n.locks++
+}
+
+// Locks returns how many times the node lock has been acquired through
+// Lock.
+func (n *Node) Locks() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.locks
+}
 
 // Unlock releases the node list lock.
 func (n *Node) Unlock() { n.mu.Unlock() }
@@ -609,7 +626,7 @@ func (b *Base) Trace(kind trace.Kind, cpu int, arg1, arg2 int64) {
 	}
 }
 
-// NodeFor maps a CPU to its NUMA node.
+// NodeFor maps a CPU to its node.
 func (b *Base) NodeFor(cpu int) *Node {
 	perNode := (b.Cfg.CPUs + len(b.NodesArr) - 1) / len(b.NodesArr)
 	idx := cpu / perNode
@@ -617,6 +634,14 @@ func (b *Base) NodeFor(cpu int) *Node {
 		idx = len(b.NodesArr) - 1
 	}
 	return b.NodesArr[idx]
+}
+
+// Sibling returns the i-th node after home in round-robin order, for
+// i in [1, len(NodesArr)): the order in which an allocator whose own
+// node has nothing allocatable looks at the other nodes before it grows
+// (SLUB's get_any_partial).
+func (b *Base) Sibling(home *Node, i int) *Node {
+	return b.NodesArr[(home.id+i)%len(b.NodesArr)]
 }
 
 // NewSlab grows the cache by one slab on node n and attaches it to the
@@ -719,40 +744,32 @@ func (b *Base) UserFree(cpu int) { b.Ctr.UserFree(cpu) }
 func (b *Base) Requested() int64 { return b.Ctr.Requested() }
 
 // ReleaseRefs returns a batch of objects to their slabs' freelists with
-// one node-lock acquisition per node (instead of per object) and one
-// list-placement decision per touched slab (instead of per push). place
-// maps each touched slab to its destination list — HomeList for the
-// SLUB view, PredictedList-style policies for Prudence.
+// one node-lock acquisition per node (instead of per object). Each
+// touched slab is placed once all of its node's pushes are in: place
+// maps it to its destination list — HomeList for the SLUB view,
+// PredictedList-style policies for Prudence. ReleaseRefs allocates
+// nothing; it reorders refs in place.
 func (b *Base) ReleaseRefs(refs []Ref, place func(*Slab) ListID) {
-	if len(refs) == 0 {
-		return
-	}
-	for _, n := range b.NodesArr {
-		var touched []*Slab
-		locked := false
+	for len(refs) > 0 {
+		n := refs[0].Slab.node
+		n.Lock()
 		for _, r := range refs {
-			s := r.Slab
-			if s.node != n {
-				continue
-			}
-			if !locked {
-				n.Lock()
-				locked = true
-			}
-			s.PushFree(r.Idx, b.Cfg.Poison)
-			if !s.touched {
-				s.touched = true
-				touched = append(touched, s)
+			if r.Slab.node == n {
+				r.Slab.PushFree(r.Idx, b.Cfg.Poison)
 			}
 		}
-		if !locked {
-			continue
-		}
-		for _, s := range touched {
-			s.touched = false
-			n.Move(s, place(s))
+		// The first Move of a slab settles it; its later refs find it
+		// already on its list.
+		rest := refs[:0]
+		for _, r := range refs {
+			if r.Slab.node == n {
+				n.Move(r.Slab, place(r.Slab))
+			} else {
+				rest = append(rest, r)
+			}
 		}
 		n.Unlock()
+		refs = rest
 	}
 }
 
@@ -886,10 +903,18 @@ func (c *PerCPUCache) Take(n int) []Ref {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Ref, n)
-	copy(out, c.Objs[:n])
+	return c.TakeInto(make([]Ref, 0, n), n)
+}
+
+// TakeInto is Take appending into dst, so a caller with a reusable
+// buffer flushes without allocating. Caller must hold the cache lock.
+//
+//prudence:requires PerCPUCache
+func (c *PerCPUCache) TakeInto(dst []Ref, n int) []Ref {
+	n = max(0, min(n, len(c.Objs)))
+	dst = append(dst, c.Objs[:n]...)
 	c.Objs = append(c.Objs[:0], c.Objs[n:]...)
-	return out
+	return dst
 }
 
 // ShrinkNode returns free slabs to the page allocator until the node's

@@ -127,8 +127,14 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 			return r, nil
 		}
 
-		// Slow path: refill from the node lists.
-		c.refill(cpu, cc)
+		// Slow path: refill from this CPU's node, then — before growing —
+		// from the sibling nodes (get_any_partial), so no CPU grows while
+		// another CPU's node holds allocatable objects.
+		node := c.base.NodeFor(cpu)
+		moved := c.refill(cpu, cc, node)
+		for i := 1; moved == 0 && i < len(c.base.NodesArr); i++ {
+			moved = c.refill(cpu, cc, c.base.Sibling(node, i))
+		}
 		if r := cc.TryGet(); !r.IsZero() {
 			cc.Unlock()
 			c.base.UserAlloc(cpu)
@@ -141,7 +147,6 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 		// Slower path: grow the slab cache by one slab and refill again.
 		// As in core, the stand-in grows under the cache lock and
 		// accepts the page allocator's bounded zeroer wait.
-		node := c.base.NodeFor(cpu)
 		if _, err := c.base.NewSlab(node); err != nil { //prudence:nolint:sleepcheck grow-under-cache-lock stand-in: the zeroer wait in pagealloc is bounded
 			cc.Unlock()
 			ctr.OOMs.Add(1)
@@ -149,7 +154,7 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 			return slabcore.Ref{}, err
 		}
 		c.base.Trace(trace.KindGrow, cpu, 1, 0)
-		c.refill(cpu, cc)
+		c.refill(cpu, cc, node)
 		r := cc.TryGet()
 		cc.Unlock()
 		if r.IsZero() {
@@ -170,21 +175,20 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 	}
 }
 
-// refill moves objects from node-list slabs into the CPU cache until it
-// is full or the node has nothing allocatable. Whole freelist segments
-// are spliced per slab (FillFrom), so the node lock is held for one
-// batched copy per slab rather than a per-object push/pop loop. Caller
-// holds the cache lock.
-func (c *Cache) refill(cpu int, cc *slabcore.PerCPUCache) {
+// refill moves objects from node's slabs into the CPU cache until it
+// is full or the node has nothing allocatable, and returns how many
+// moved. Whole freelist segments are spliced per slab (FillFrom), so
+// the node lock is held for one batched copy per slab rather than a
+// per-object push/pop loop. Caller holds the cache lock.
+func (c *Cache) refill(cpu int, cc *slabcore.PerCPUCache, node *slabcore.Node) int {
 	// Chaos: a failed refill sends Malloc to the grow path.
 	//prudence:fault_point
 	if fault.Fire(fault.RefillFail) {
-		return
+		return 0
 	}
-	node := c.base.NodeFor(cpu)
 	want := cc.Size - cc.Len()
 	if want <= 0 {
-		return
+		return 0
 	}
 	moved := 0
 	node.Lock()
@@ -211,6 +215,7 @@ func (c *Cache) refill(cpu int, cc *slabcore.PerCPUCache) {
 		c.base.Ctr.Refills.Add(1)
 		c.base.Trace(trace.KindRefill, cpu, int64(moved), 0)
 	}
+	return moved
 }
 
 // Free implements alloc.Cache: push to the CPU cache, flushing half of

@@ -5,14 +5,17 @@
 // events, which is how the churn patterns of §3 were inspected during
 // development.
 //
-// Recording is wait-free (one atomic increment plus a slot write); the
-// ring overwrites its oldest entries when full. Events carry a
-// coarse-grained wall-clock timestamp, the CPU, and two free-form
-// arguments whose meaning depends on the kind.
+// Recording is wait-free (one atomic increment plus a slot write) and
+// vCPU-local: each vCPU records into its own shard, so tracing adds no
+// shared cache line to the allocator's slow paths. Each shard
+// overwrites its oldest entries when full; Snapshot merges the shards
+// by timestamp. Events carry a wall-clock timestamp, the CPU, and two
+// free-form arguments whose meaning depends on the kind.
 package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -76,12 +79,30 @@ func (e Event) String() string {
 		e.At.Format("15:04:05.000000"), e.CPU, e.Kind, e.Arg1, e.Arg2)
 }
 
+// ringShards is the number of per-vCPU shards in a Ring. vCPU c
+// records into shard c mod ringShards, so up to ringShards vCPUs never
+// share a shard's counter.
+const ringShards = 64
+
 // Ring is a fixed-capacity overwrite-on-full event buffer, safe for
-// concurrent recording from any goroutine.
+// concurrent recording from any goroutine. It is sharded by vCPU: a
+// shard's slots are allocated on its first event, and every shard
+// holds up to Cap events, so a single busy vCPU still fills the whole
+// window.
 type Ring struct {
-	slots []slot
+	shards [ringShards]ringShard
+	size   int
+	mask   uint64
+}
+
+// ringShard is one vCPU's share of a Ring, padded so neighbouring
+// vCPUs' counters do not false-share.
+//
+//prudence:padded 128
+type ringShard struct {
 	next  atomic.Uint64
-	mask  uint64
+	slots atomic.Pointer[[]slot]
+	_     [128 - 16]byte
 }
 
 type slot struct {
@@ -96,52 +117,77 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{slots: make([]slot, n), mask: uint64(n - 1)}
+	return &Ring{size: n, mask: uint64(n - 1)}
 }
 
 // Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
+func (r *Ring) Cap() int { return r.size }
 
-// Record appends an event, overwriting the oldest when full.
+// Record appends an event to cpu's shard, overwriting the shard's
+// oldest event when full.
 func (r *Ring) Record(kind Kind, cpu int, arg1, arg2 int64) {
-	idx := r.next.Add(1) - 1
-	s := &r.slots[idx&r.mask]
+	sh := &r.shards[uint(cpu)%ringShards]
+	slots := sh.slots.Load()
+	if slots == nil {
+		fresh := make([]slot, r.size)
+		sh.slots.CompareAndSwap(nil, &fresh) // a racing first event may win
+		slots = sh.slots.Load()
+	}
+	idx := sh.next.Add(1) - 1
+	s := &(*slots)[idx&r.mask]
 	// Seqlock-style: odd marks the slot as mid-write so Snapshot can
 	// discard torn reads.
-	seq := s.seq.Add(1) // odd
-	_ = seq
+	s.seq.Add(1) // odd
 	s.ev = Event{At: time.Now(), Kind: kind, CPU: int32(cpu), Arg1: arg1, Arg2: arg2}
 	s.seq.Add(1) // even
 }
 
 // Len returns how many events have ever been recorded (not the number
 // retained).
-func (r *Ring) Len() int { return int(r.next.Load()) }
-
-// Snapshot returns the retained events, oldest first. Events being
-// written concurrently are skipped.
-func (r *Ring) Snapshot() []Event {
-	total := r.next.Load()
-	n := uint64(len(r.slots))
-	start := uint64(0)
-	if total > n {
-		start = total - n
+func (r *Ring) Len() int {
+	n := uint64(0)
+	for i := range r.shards {
+		n += r.shards[i].next.Load()
 	}
-	out := make([]Event, 0, total-start)
-	for i := start; i < total; i++ {
-		s := &r.slots[i&r.mask]
-		before := s.seq.Load()
-		if before%2 != 0 {
-			continue // mid-write
-		}
-		ev := s.ev
-		if s.seq.Load() != before {
-			continue // overwritten while reading
-		}
-		if ev.Kind == KindNone {
+	return int(n)
+}
+
+// Snapshot returns the newest Cap retained events across all shards,
+// oldest first. Events being written concurrently are skipped.
+func (r *Ring) Snapshot() []Event {
+	var out []Event
+	for i := range r.shards {
+		sh := &r.shards[i]
+		slots := sh.slots.Load()
+		if slots == nil {
 			continue
 		}
-		out = append(out, ev)
+		total := sh.next.Load()
+		start := uint64(0)
+		if total > uint64(r.size) {
+			start = total - uint64(r.size)
+		}
+		for j := start; j < total; j++ {
+			s := &(*slots)[j&r.mask]
+			before := s.seq.Load()
+			if before%2 != 0 {
+				continue // mid-write
+			}
+			ev := s.ev
+			if s.seq.Load() != before {
+				continue // overwritten while reading
+			}
+			if ev.Kind == KindNone {
+				continue
+			}
+			out = append(out, ev)
+		}
+	}
+	// Each shard is already in recording order; the stable sort keeps
+	// it for events with equal timestamps.
+	slices.SortStableFunc(out, func(a, b Event) int { return a.At.Compare(b.At) })
+	if len(out) > r.size {
+		out = out[len(out)-r.size:]
 	}
 	return out
 }

@@ -109,3 +109,42 @@ func TestConcurrentRecording(t *testing.T) {
 		}
 	}
 }
+
+// Shards are per vCPU, but a snapshot reads as one ring: events from
+// every vCPU merged oldest first and trimmed to the newest Cap.
+func TestShardsMergeByTime(t *testing.T) {
+	r := NewRing(16)
+	for i := 0; i < 24; i++ {
+		r.Record(KindRefill, i%3, int64(i), 0)
+	}
+	evs := r.Snapshot()
+	if len(evs) != 16 {
+		t.Fatalf("retained %d events, want 16", len(evs))
+	}
+	seen := map[int64]bool{}
+	for i, e := range evs {
+		if i > 0 && e.At.Before(evs[i-1].At) {
+			t.Fatalf("event %d is older than event %d", i, i-1)
+		}
+		if e.Arg1 < 8 || e.CPU != int32(e.Arg1%3) || seen[e.Arg1] {
+			t.Fatalf("event %d = %+v: want each of the newest 16 events once", i, e)
+		}
+		seen[e.Arg1] = true
+	}
+	if r.Len() != 24 {
+		t.Fatalf("Len = %d, want 24", r.Len())
+	}
+}
+
+// A busy vCPU keeps a full window even when its shard is one of many.
+func TestOneShardFillsTheWindow(t *testing.T) {
+	r := NewRing(32)
+	r.Record(KindGrow, 1, 0, 0)
+	for i := 0; i < 100; i++ {
+		r.Record(KindMalloc, 5, int64(i), 0)
+	}
+	evs := r.Snapshot()
+	if len(evs) != 32 || evs[31].Arg1 != 99 || evs[0].Kind != KindMalloc {
+		t.Fatalf("snapshot = %d events, first %+v, last %+v", len(evs), evs[0], evs[len(evs)-1])
+	}
+}

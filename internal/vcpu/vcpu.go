@@ -212,9 +212,11 @@ func (c *CPU) IdleBusy() bool {
 	if c.idleActive.Load() {
 		return true
 	}
+	// The worker marks itself active under idleMu as it dequeues, so
+	// an item is always either queued or active here, never neither.
 	c.idleMu.Lock()
 	defer c.idleMu.Unlock()
-	return len(c.idleQueue) > 0
+	return len(c.idleQueue) > 0 || c.idleActive.Load()
 }
 
 // runIdle isolates idle work: a panicking work item must not kill the
@@ -239,11 +241,16 @@ func (c *CPU) idleLoop(wg *sync.WaitGroup, stop chan struct{}) {
 				c.idleMu.Unlock()
 				break
 			}
+			// Shift down instead of reslicing, so the queue keeps its
+			// backing array and steady-state ScheduleIdle never
+			// allocates (queues are a few items long).
 			fn := c.idleQueue[0]
-			c.idleQueue = c.idleQueue[1:]
+			n := copy(c.idleQueue, c.idleQueue[1:])
+			c.idleQueue[n] = nil
+			c.idleQueue = c.idleQueue[:n]
+			c.idleActive.Store(true)
 			c.idleMu.Unlock()
 
-			c.idleActive.Store(true)
 			start := time.Now()
 			runIdle(fn)
 			c.idleBusyNanos.Add(int64(time.Since(start)))

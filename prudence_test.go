@@ -448,23 +448,28 @@ func TestWorkoutAllBackends(t *testing.T) {
 				c := sys.NewCache("workout", 128)
 
 				// Deferred free racing a pinned reader on another CPU.
+				// The free waits until the reader is inside its
+				// read-side section: a reader that enters after the
+				// object is reclaimed is not protecting it.
 				obj, err := c.Malloc(0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				copy(obj.Bytes(), "pinned-data")
 				data := obj.Bytes()
-				done := make(chan struct{})
+				pinned, done := make(chan struct{}), make(chan struct{})
 				sys.RunOnAllCPUs(func(cpu int) {
 					switch cpu {
 					case 1:
 						sys.ReadLock(1)
+						close(pinned)
 						<-done
 						if string(data[:11]) != "pinned-data" {
 							t.Errorf("%s reader observed reclaimed memory", scheme)
 						}
 						sys.ReadUnlock(1)
 					case 0:
+						<-pinned
 						c.FreeDeferred(0, obj)
 						for i := 0; i < 50; i++ {
 							o, err := c.Malloc(0)
