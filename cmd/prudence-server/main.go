@@ -48,7 +48,7 @@ func main() {
 		backlog  = flag.Int("backlog-high", 1<<16, "latent objects before the monitor expedites")
 
 		load      = flag.Bool("load", false, "run the load generator and exit")
-		sessions  = flag.Int("sessions", 100000, "load: target live sessions")
+		sessions  = flag.Int("sessions", 100000, "target live sessions (load mode); also sizes the session map")
 		ops       = flag.Int("ops", 0, "load: op budget after ramp (0 = 2x sessions)")
 		duration  = flag.Duration("duration", 0, "load: wall-clock cap for the churn phase")
 		batch     = flag.Int("batch", 128, "load: ops per batch")
@@ -72,6 +72,7 @@ func main() {
 		GracePeriodInterval: *gpIval,
 		QueueDepth:          *qdepth,
 		BacklogHigh:         *backlog,
+		Sessions:            *sessions,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "prudence-server:", err)

@@ -97,6 +97,7 @@ func RunServer(cfg ServerConfig) (ServerResult, error) {
 				Allocator:   alloc,
 				Reclamation: scheme,
 				Arena:       prudence.ArenaKind(cfg.Arena),
+				Sessions:    cfg.Sessions,
 			})
 			if err != nil {
 				return res, fmt.Errorf("server %s/%s: %w", alloc, scheme, err)

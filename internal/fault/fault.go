@@ -68,6 +68,11 @@ const (
 	// have sent to a straggler CPU; the advancer must retry rather than
 	// advance unsafely or hang.
 	NeutralizeLost
+	// SubmitStall stalls a server submitter between its closed check
+	// and its enqueue: the window Close's submitter fence must cover.
+	// Only the server's own tests reach it; the stack-level chaos mix
+	// does not run a server.
+	SubmitStall
 
 	// NumPoints is the number of defined points.
 	NumPoints
@@ -85,6 +90,7 @@ var pointNames = [NumPoints]string{
 	OOMDelayExpire:   "oom_delay_expire",
 	HPScanDelay:      "hp_scan_delay",
 	NeutralizeLost:   "nebr_neutralize_lost",
+	SubmitStall:      "server_submit_stall",
 }
 
 func (p Point) String() string {

@@ -1,11 +1,20 @@
-// Package rcuhash implements an RCU-protected hash table over
-// rculist buckets — the kind of read-mostly structure (route caches,
-// dentry-like lookup tables) the paper's introduction motivates as the
-// major user of synchronization via procrastination.
+// Package rcuhash implements an RCU-protected hash table — the kind of
+// read-mostly structure (route caches, dentry-like lookup tables) the
+// paper's introduction motivates as the major user of synchronization
+// via procrastination.
 //
-// Readers hash to a bucket and traverse it wait-free inside a read-side
-// critical section. Writers serialize per bucket (via the bucket list's
-// writer lock) and defer-free replaced payloads through the allocator.
+// The table is an inline array of buckets. Each bucket holds a writer
+// lock and an RCU-published pointer to an immutable chain version: a
+// contiguous array of keys beside the matching slab payload references.
+// A reader hashes to a bucket, loads its chain once and scans the keys
+// in place, all inside one read-side critical section. A writer, under
+// the bucket lock, builds the bucket's next chain version in one Go
+// allocation, publishes it, and defer-frees the payload it replaced —
+// the paper's Figure 1 pattern of one slab allocation and one deferred
+// free per update. Chain versions themselves are garbage-collected, so
+// a reader still scanning a replaced version stays safe; only the slab
+// payloads need grace-period protection.
+//
 // Resizing swaps in a new bucket array and rebuilds it with copy-update
 // operations, defer-freeing every old payload — a deliberate burst of
 // deferred frees akin to the table moves of resizable RCU hash tables.
@@ -16,13 +25,14 @@ import (
 	"sync/atomic"
 
 	"prudence/internal/alloc"
-	"prudence/internal/rculist"
+	"prudence/internal/slabcore"
 )
 
 // Sync is the synchronization surface the map needs: read-side markers
 // plus a blocking grace-period wait for the resize teardown.
 type Sync interface {
-	rculist.ReadSync
+	ReadLock(cpu int)
+	ReadUnlock(cpu int)
 	// SynchronizeOn blocks until a full grace period has elapsed,
 	// treating the calling CPU as quiescent.
 	SynchronizeOn(cpu int)
@@ -35,37 +45,144 @@ type Map struct {
 	rcu   Sync
 
 	table atomic.Pointer[table] //prudence:rcu resizeMu
-	// resizeMu serializes resizes; normal writers only take per-bucket
-	// locks inside rculist. It ranks below the bucket writer locks
-	// (rculist.List.wmu, rank 8) because Resize holds it across bucket
-	// rebuild operations.
+	// resizeMu serializes resizes; normal writers only take bucket
+	// locks. It ranks below them (bucket.mu, rank 8) because Resize
+	// takes bucket locks while holding it.
 	//
 	//prudence:lockorder 7
 	resizeMu sync.Mutex
 }
 
 type table struct {
-	buckets []*rculist.List
+	buckets []bucket
 	mask    uint64
+}
+
+// bucket is one hash chain: a writer lock and the current version.
+type bucket struct {
+	// mu serializes the bucket's writers. It is never held while
+	// calling into the allocator.
+	//
+	//prudence:lockorder 8
+	mu    sync.Mutex
+	chain atomic.Pointer[chain] //prudence:rcu mu
+}
+
+// chain is one immutable version of a bucket's contents: keys[i] maps
+// to the payload objs[i]. A bucket with no entries publishes nil.
+type chain struct {
+	keys []uint64
+	objs []slabcore.Ref
+}
+
+// newChain returns an empty-valued chain of n entries. Chains up to 16
+// entries come from fixed size classes, so the header and both arrays
+// are one Go allocation; longer chains take three. Every write copies
+// its bucket's whole chain, so the map is meant to run near 4–6 entries
+// per bucket: perfbench's 100 k sessions over 16 k buckets average 6.1,
+// and the server sizes its table from its session target to stay near
+// 4 (a million sessions over 256 k buckets average 3.8).
+func newChain(n int) *chain {
+	switch {
+	case n == 0:
+		return nil
+	case n <= 4:
+		v := new(struct {
+			chain
+			k [4]uint64
+			o [4]slabcore.Ref
+		})
+		v.keys, v.objs = v.k[:n], v.o[:n]
+		return &v.chain
+	case n <= 8:
+		v := new(struct {
+			chain
+			k [8]uint64
+			o [8]slabcore.Ref
+		})
+		v.keys, v.objs = v.k[:n], v.o[:n]
+		return &v.chain
+	case n <= 16:
+		v := new(struct {
+			chain
+			k [16]uint64
+			o [16]slabcore.Ref
+		})
+		v.keys, v.objs = v.k[:n], v.o[:n]
+		return &v.chain
+	}
+	return &chain{keys: make([]uint64, n), objs: make([]slabcore.Ref, n)}
+}
+
+// find returns key's index in c, or -1. c may be nil.
+func (c *chain) find(key uint64) int {
+	if c != nil {
+		for i, k := range c.keys {
+			if k == key {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+func (c *chain) len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.keys)
+}
+
+// replaced returns a copy of c with entry i's payload set to obj.
+func (c *chain) replaced(i int, obj slabcore.Ref) *chain {
+	nc := newChain(len(c.keys))
+	copy(nc.keys, c.keys)
+	copy(nc.objs, c.objs)
+	nc.objs[i] = obj
+	return nc
+}
+
+// appended returns a copy of c (which may be nil) with one more entry.
+func (c *chain) appended(key uint64, obj slabcore.Ref) *chain {
+	n := c.len()
+	nc := newChain(n + 1)
+	if c != nil {
+		copy(nc.keys, c.keys)
+		copy(nc.objs, c.objs)
+	}
+	nc.keys[n], nc.objs[n] = key, obj
+	return nc
+}
+
+// removed returns a copy of c without entry i (nil when none remain).
+func (c *chain) removed(i int) *chain {
+	nc := newChain(len(c.keys) - 1)
+	if nc != nil {
+		copy(nc.keys, c.keys[:i])
+		copy(nc.keys[i:], c.keys[i+1:])
+		copy(nc.objs, c.objs[:i])
+		copy(nc.objs[i:], c.objs[i+1:])
+	}
+	return nc
 }
 
 // New creates a map with the given power-of-two bucket count. r
 // provides synchronization (internal/rcu or internal/ebr).
 func New(cache alloc.Cache, r Sync, buckets int) *Map {
-	if buckets <= 0 || buckets&(buckets-1) != 0 {
-		panic("rcuhash: bucket count must be a positive power of two")
-	}
+	checkBuckets(buckets)
 	m := &Map{cache: cache, rcu: r}
-	m.table.Store(newTable(cache, r, buckets))
+	m.table.Store(newTable(buckets))
 	return m
 }
 
-func newTable(cache alloc.Cache, r Sync, buckets int) *table {
-	t := &table{buckets: make([]*rculist.List, buckets), mask: uint64(buckets - 1)}
-	for i := range t.buckets {
-		t.buckets[i] = rculist.New(cache, r)
+func checkBuckets(buckets int) {
+	if buckets <= 0 || buckets&(buckets-1) != 0 {
+		panic("rcuhash: bucket count must be a positive power of two")
 	}
-	return t
+}
+
+func newTable(buckets int) *table {
+	return &table{buckets: make([]bucket, buckets), mask: uint64(buckets - 1)}
 }
 
 // hash mixes the key (splitmix64 finalizer) so sequential keys spread.
@@ -78,18 +195,18 @@ func hash(k uint64) uint64 {
 	return k
 }
 
-func (t *table) bucket(key uint64) *rculist.List {
-	return t.buckets[hash(key)&t.mask]
+func (t *table) bucket(key uint64) *bucket {
+	return &t.buckets[hash(key)&t.mask]
 }
 
 // ValueSize returns the payload capacity of each entry.
 func (m *Map) ValueSize() int { return m.cache.ObjectSize() }
 
 // loadTable reads the table pointer outside a read-side critical
-// section. That is safe for the pointer itself — the table struct and
-// its bucket lists are GC-backed, so an old table stays valid however
-// late it is dereferenced; only payload slices handed out by buckets
-// need grace-period protection. Writer-path callers (Put, Delete)
+// section. That is safe for the pointer itself — the table struct, its
+// buckets and their chain versions are GC-backed, so an old table stays
+// valid however late it is dereferenced; only payload slices need
+// grace-period protection. Writer-path callers (Put, Delete, Len)
 // additionally rely on the single-resizer rule: writers quiesce during
 // a resize, so they can never load a table mid-swap. Read paths that
 // DO return payload data (Get, ForEach) load the pointer inside their
@@ -102,11 +219,13 @@ func (m *Map) loadTable() *table {
 func (m *Map) Buckets() int { return len(m.loadTable().buckets) }
 
 // Len returns the number of entries (approximate under concurrency).
+// It takes no locks: it reads only the length of each bucket's current
+// chain version, which is immutable and GC-backed like the table.
 func (m *Map) Len() int {
 	t := m.loadTable()
 	n := 0
-	for _, b := range t.buckets {
-		n += b.Len()
+	for i := range t.buckets {
+		n += t.buckets[i].chain.Load().len() //prudence:nolint:rcucheck only the immutable version's length is read, never a payload
 	}
 	return n
 }
@@ -115,49 +234,80 @@ func (m *Map) Len() int {
 // section on cpu. Returns bytes copied and whether the key was present.
 func (m *Map) Get(cpu int, key uint64, buf []byte) (int, bool) {
 	// The table pointer must be dereferenced inside the critical
-	// section: a resize tears the old table down only after a grace
-	// period, so holding the read lock across load+lookup is what makes
-	// the swap safe.
+	// section: a resize defer-frees the old table's payloads after a
+	// grace period, so holding the read lock across load+lookup is what
+	// makes the swap safe.
 	m.rcu.ReadLock(cpu)
 	defer m.rcu.ReadUnlock(cpu)
-	return m.table.Load().bucket(key).Lookup(cpu, key, buf)
+	c := m.table.Load().bucket(key).chain.Load()
+	if i := c.find(key); i >= 0 {
+		return copy(buf, c.objs[i].Bytes()), true
+	}
+	return 0, false
 }
 
-// Put inserts or replaces key's value. A replace defer-frees the old
-// payload (copy-update); an insert allocates fresh.
+// Put inserts or replaces key's value. Either way the value goes into
+// one fresh slab allocation; a replace then defer-frees the old payload
+// (copy-update). The lookup and the publish happen under one bucket
+// lock, so concurrent Puts of a new key insert it once.
 func (m *Map) Put(cpu int, key uint64, value []byte) error {
-	b := m.loadTable().bucket(key)
-	found, err := b.Update(cpu, key, value)
-	if err != nil || found {
+	ref, err := m.cache.Malloc(cpu)
+	if err != nil {
 		return err
 	}
-	return b.Insert(cpu, key, value)
+	copy(ref.Bytes(), value)
+
+	b := m.loadTable().bucket(key)
+	b.mu.Lock()
+	c := b.chain.Load()
+	i := c.find(key)
+	if i < 0 {
+		b.chain.Store(c.appended(key, ref))
+		b.mu.Unlock()
+		return nil
+	}
+	old := c.objs[i]
+	b.chain.Store(c.replaced(i, ref))
+	b.mu.Unlock()
+
+	// The old version is unreachable for new readers; its payload waits
+	// for pre-existing readers through the deferred free.
+	m.cache.FreeDeferred(cpu, old)
+	return nil
 }
 
 // Delete removes key, defer-freeing its payload. Reports whether it was
 // present.
 func (m *Map) Delete(cpu int, key uint64) (bool, error) {
-	return m.loadTable().bucket(key).Delete(cpu, key)
+	b := m.loadTable().bucket(key)
+	b.mu.Lock()
+	c := b.chain.Load()
+	i := c.find(key)
+	if i < 0 {
+		b.mu.Unlock()
+		return false, nil
+	}
+	old := c.objs[i]
+	b.chain.Store(c.removed(i))
+	b.mu.Unlock()
+
+	m.cache.FreeDeferred(cpu, old)
+	return true, nil
 }
 
-// ForEach visits every entry. Each bucket is traversed in its own
-// read-side critical section on cpu; entries added or removed during
-// iteration may or may not be seen. fn must not retain value.
+// ForEach visits every entry inside one read-side critical section on
+// cpu; entries added or removed during iteration may or may not be
+// seen. fn must not retain value.
 func (m *Map) ForEach(cpu int, fn func(key uint64, value []byte) bool) {
 	m.rcu.ReadLock(cpu)
 	defer m.rcu.ReadUnlock(cpu)
 	t := m.table.Load()
-	for _, b := range t.buckets {
-		stop := false
-		b.Walk(cpu, func(k uint64, v []byte) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
+	for i := range t.buckets {
+		c := t.buckets[i].chain.Load()
+		for j := 0; j < c.len(); j++ {
+			if !fn(c.keys[j], c.objs[j].Bytes()) {
+				return
 			}
-			return true
-		})
-		if stop {
-			return
 		}
 	}
 }
@@ -170,52 +320,59 @@ func (m *Map) ForEach(cpu int, fn func(key uint64, value []byte) bool) {
 // during a resize (writer-side callers must quiesce, as with relativistic
 // hash tables' single-resizer rule).
 func (m *Map) Resize(cpu int, buckets int) error {
-	if buckets <= 0 || buckets&(buckets-1) != 0 {
-		panic("rcuhash: bucket count must be a positive power of two")
-	}
+	checkBuckets(buckets)
 	m.resizeMu.Lock()
 	defer m.resizeMu.Unlock()
 
+	// Phase 1: copy every payload into a fresh allocation. Readers
+	// still use the old table and see a complete view throughout.
 	old := m.table.Load()
-	nt := newTable(m.cache, m.rcu, buckets)
-
-	// Phase 1: copy every entry into the new table. Readers still use
-	// the old table and see a complete view throughout.
-	type kv struct {
-		k uint64
-		v []byte
+	type move struct {
+		key      uint64
+		from, to slabcore.Ref
 	}
-	var entries []kv
-	for _, b := range old.buckets {
-		b.Walk(cpu, func(k uint64, v []byte) bool {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			entries = append(entries, kv{k, cp})
-			return true
-		})
+	var moves []move
+	for i := range old.buckets {
+		b := &old.buckets[i]
+		b.mu.Lock()
+		c := b.chain.Load()
+		for j := 0; j < c.len(); j++ {
+			moves = append(moves, move{key: c.keys[j], from: c.objs[j]})
+		}
+		b.mu.Unlock()
 	}
-	for i, e := range entries {
-		if err := nt.bucket(e.k).Insert(cpu, e.k, e.v); err != nil {
-			// Roll back the partially built table, freeing its copies.
-			for _, done := range entries[:i] {
-				if _, derr := nt.bucket(done.k).Delete(cpu, done.k); derr != nil {
-					return derr
-				}
+	for i := range moves {
+		to, err := m.cache.Malloc(cpu)
+		if err != nil {
+			// Nothing is published yet: free the copies made so far.
+			for _, done := range moves[:i] {
+				m.cache.Free(cpu, done.to)
 			}
 			return err
 		}
+		copy(to.Bytes(), moves[i].from.Bytes())
+		moves[i].to = to
+	}
+
+	// The new table is unpublished, but its chains are still built
+	// under the bucket locks so the stores follow the publication
+	// discipline.
+	nt := newTable(buckets)
+	for _, mv := range moves {
+		b := nt.bucket(mv.key)
+		b.mu.Lock()
+		b.chain.Store(b.chain.Load().appended(mv.key, mv.to))
+		b.mu.Unlock()
 	}
 
 	// Phase 2: publish the new table, wait for pre-existing readers of
-	// the old table to finish, then tear the old table down. The
-	// payloads are defer-freed, covering any reader that captured a
-	// payload slice just before the table swap.
+	// the old table to finish, then defer-free its payloads. The
+	// deferred free still covers any reader that captured a payload
+	// slice just before the table swap.
 	m.table.Store(nt)
 	m.rcu.SynchronizeOn(cpu)
-	for _, e := range entries {
-		if _, err := old.bucket(e.k).Delete(cpu, e.k); err != nil {
-			return err
-		}
+	for _, mv := range moves {
+		m.cache.FreeDeferred(cpu, mv.from)
 	}
 	return nil
 }

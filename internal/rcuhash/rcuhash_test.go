@@ -252,3 +252,157 @@ func TestConcurrentWritersDistinctKeyRanges(t *testing.T) {
 		}
 	})
 }
+
+// payload encodes a self-checking value: key, version and a checksum
+// over both, so a reader can tell a complete version from a torn,
+// poisoned or reused object.
+func payload(key, version uint64) []byte {
+	v := make([]byte, 24)
+	binary.LittleEndian.PutUint64(v, key)
+	binary.LittleEndian.PutUint64(v[8:], version)
+	binary.LittleEndian.PutUint64(v[16:], (key^version)*0x9e3779b97f4a7c15)
+	return v
+}
+
+func checkPayload(v []byte, key uint64) (version uint64, ok bool) {
+	k := binary.LittleEndian.Uint64(v)
+	version = binary.LittleEndian.Uint64(v[8:])
+	sum := binary.LittleEndian.Uint64(v[16:])
+	return version, k == key && sum == (k^version)*0x9e3779b97f4a7c15
+}
+
+// Readers on some CPUs look up resident keys while writers on the
+// others insert, update and delete keys in the very same buckets. Every
+// write replaces a bucket's chain version, so a reader must never miss
+// a resident key, never see a version older than one it already saw,
+// and always read a complete payload.
+func TestReadersWhileWritersRewriteBuckets(t *testing.T) {
+	eachAllocator(t, func(t *testing.T, s *alloctest.Stack, c alloc.Cache) {
+		const (
+			buckets  = 4
+			resident = 32
+			rounds   = 1500
+			writers  = 2
+		)
+		m := rcuhash.New(c, s.RCU, buckets)
+		for k := uint64(0); k < resident; k++ {
+			if err := m.Put(0, k, payload(k, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var writing atomic.Int64
+		writing.Store(writers)
+		s.Machine.RunOnAll(func(cpu *vcpu.CPU) {
+			id := cpu.ID()
+			s.RCU.ExitIdle(id)
+			defer s.RCU.EnterIdle(id)
+			if id < writers {
+				defer writing.Add(-1)
+				transient := uint64(1000 + id*rounds)
+				for r := uint64(1); r <= rounds; r++ {
+					k := uint64(id) + 2*(r%(resident/2)) // this writer's resident keys
+					n := transient + r
+					for _, err := range []error{
+						m.Put(id, k, payload(k, r)),
+						m.Put(id, n, payload(n, 0)),
+						m.Put(id, n, payload(n, 1)),
+					} {
+						if err != nil {
+							t.Errorf("cpu %d put: %v", id, err)
+							return
+						}
+					}
+					if ok, err := m.Delete(id, n); !ok || err != nil {
+						t.Errorf("cpu %d delete %d = %v, %v", id, n, ok, err)
+						return
+					}
+					s.RCU.QuiescentState(id)
+				}
+				return
+			}
+			seen := make([]uint64, resident)
+			buf := make([]byte, 24)
+			for writing.Load() > 0 {
+				for k := uint64(0); k < resident; k++ {
+					if _, ok := m.Get(id, k, buf); !ok {
+						t.Errorf("cpu %d: resident key %d missing", id, k)
+						return
+					}
+					v, ok := checkPayload(buf, k)
+					if !ok || v < seen[k] {
+						t.Errorf("cpu %d: key %d read version %d (checksum ok %v) after %d", id, k, v, ok, seen[k])
+						return
+					}
+					seen[k] = v
+				}
+				for k := uint64(1000); k < 1000+writers*rounds; k += 97 {
+					if _, ok := m.Get(id, k, buf); ok {
+						if _, ok := checkPayload(buf, k); !ok {
+							t.Errorf("cpu %d: transient key %d read a torn payload", id, k)
+							return
+						}
+					}
+				}
+				s.RCU.QuiescentState(id)
+			}
+		})
+		if got := m.Len(); got != resident {
+			t.Fatalf("Len = %d, want %d", got, resident)
+		}
+	})
+}
+
+// A lookup allocates nothing, and each write on a short chain
+// allocates exactly one Go object: the bucket's next chain version.
+// One bucket keeps every chain between 2 and 16 entries long, the
+// range in which a version is a single allocation.
+func TestAllocationsPerOperation(t *testing.T) {
+	eachAllocator(t, func(t *testing.T, s *alloctest.Stack, c alloc.Cache) {
+		const (
+			runs     = 12 // AllocsPerRun calls fn runs+1 times
+			resident = 16 - runs - 1
+		)
+		m := rcuhash.New(c, s.RCU, 1)
+		for k := uint64(0); k < resident; k++ {
+			if err := m.Put(0, k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 8)
+		var next, gone uint64 = 100, 100
+		for _, tc := range []struct {
+			name string
+			max  float64
+			fn   func() error
+		}{
+			{"Get", 0, func() error {
+				if _, ok := m.Get(0, 1, buf); !ok {
+					return fmt.Errorf("key 1 missing")
+				}
+				return nil
+			}},
+			{"Put update", 1, func() error { return m.Put(0, 1, []byte("w")) }},
+			{"Put insert", 1, func() error { next++; return m.Put(0, next, []byte("n")) }},
+			{"Delete", 1, func() error {
+				gone++
+				if ok, err := m.Delete(0, gone); !ok || err != nil {
+					return fmt.Errorf("delete %d = %v, %v", gone, ok, err)
+				}
+				return nil
+			}},
+		} {
+			var err error
+			got := testing.AllocsPerRun(runs, func() {
+				if e := tc.fn(); e != nil && err == nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if got > tc.max {
+				t.Errorf("%s: %v allocs/op, want at most %v", tc.name, got, tc.max)
+			}
+		}
+	})
+}

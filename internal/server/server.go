@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"prudence"
+	"prudence/internal/fault"
 	"prudence/internal/metrics"
 	"prudence/internal/stats"
 )
@@ -151,9 +152,14 @@ type Config struct {
 	SessionBytes int
 	// RouteBytes is the route payload object size (default 64).
 	RouteBytes int
-	// SessionBuckets is the hash map bucket count, a power of two
-	// (default 1<<14).
+	// SessionBuckets is the hash map bucket count, a power of two.
+	// When unset it is sized from Sessions.
 	SessionBuckets int
+	// Sessions is the expected live session count. An unset
+	// SessionBuckets becomes the smallest power of two, at least 1<<14,
+	// that keeps it to 4 sessions per bucket: every session write
+	// copies its bucket's chain, so chains must stay short.
+	Sessions int
 	// QueueDepth is the per-shard batch queue capacity (default 64).
 	QueueDepth int
 	// BacklogHigh is the latent-object count past which the monitor
@@ -175,6 +181,9 @@ func (cfg *Config) fill() {
 	}
 	if cfg.SessionBuckets <= 0 {
 		cfg.SessionBuckets = 1 << 14
+		for cfg.SessionBuckets*4 < cfg.Sessions {
+			cfg.SessionBuckets <<= 1
+		}
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -366,6 +375,8 @@ func (s *Server) Submit(shard int, b *Batch) error {
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
+	//prudence:fault_point
+	fault.Sleep(fault.SubmitStall)
 	b.submitted = time.Now()
 	select {
 	case s.queues[shard] <- b:
@@ -385,6 +396,8 @@ func (s *Server) TrySubmit(shard int, b *Batch) error {
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
+	//prudence:fault_point
+	fault.Sleep(fault.SubmitStall)
 	b.submitted = time.Now()
 	select {
 	case s.queues[shard] <- b:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"prudence"
+	"prudence/internal/fault"
 )
 
 func testConfig(t *testing.T) Config {
@@ -282,6 +283,86 @@ func TestCloseDrainsAcceptedBatches(t *testing.T) {
 	}
 }
 
+// TestCloseUnderCPUHogsStrandsNoClient is the regression test for the
+// Submit/Close race: a submitter that passed the closed check and was
+// then descheduled must not land its batch in a queue after Close's
+// final sweep, where no worker would ever reply. Busy-loop goroutines
+// on every P supply the scheduling pressure that deschedules
+// submitters, and the SubmitStall fault point holds one in that window
+// often enough that every run straddles Close several times.
+func TestCloseUnderCPUHogsStrandsNoClient(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	stop := make(chan struct{})
+	var hogs stdsync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		hogs.Add(1)
+		go func() {
+			defer hogs.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); hogs.Wait() }()
+	fault.Enable(fault.Config{Seed: 1, Rules: map[fault.Point]fault.Rule{
+		fault.SubmitStall: {Rate: 0.05, Delay: 2 * time.Millisecond},
+	}})
+	defer fault.Disable()
+
+	const cycles, clients = 40, 8
+	for cycle := 0; cycle < cycles && !t.Failed(); cycle++ {
+		cfg := testConfig(t)
+		cfg.CPUs = 2
+		cfg.MemoryPages = 512
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg stdsync.WaitGroup
+		wg.Add(clients)
+		for c := 0; c < clients; c++ {
+			go func(c int) {
+				defer wg.Done()
+				submit := s.Submit
+				if c%2 == 1 {
+					submit = s.TrySubmit
+				}
+				var sent []*Batch
+				for i := 0; ; i++ {
+					key := uint64(c<<20 | i)
+					b := NewBatch(1)
+					b.Ops = append(b.Ops, Op{Kind: OpGet, Key: key})
+					err := submit(s.ShardFor(key), b)
+					if err == ErrServerClosed {
+						break
+					}
+					if err == nil {
+						sent = append(sent, b)
+					}
+				}
+				timeout := time.After(10 * time.Second)
+				for _, b := range sent {
+					select {
+					case <-b.Reply:
+					case <-timeout:
+						t.Errorf("cycle %d: a batch never got its reply", cycle)
+						return
+					}
+				}
+			}(c)
+		}
+		time.Sleep(time.Duration(5+cycle%5) * time.Millisecond)
+		s.Close()
+		wg.Wait()
+	}
+}
+
 // TestCloseStopsGoroutines pins the full teardown: server workers,
 // monitor, and the whole stack underneath exit on Close.
 func TestCloseStopsGoroutines(t *testing.T) {
@@ -314,5 +395,23 @@ func TestShardForCoversAllShards(t *testing.T) {
 	}
 	if len(seen) != s.Shards() {
 		t.Fatalf("1000 keys hit only %d of %d shards", len(seen), s.Shards())
+	}
+}
+
+func TestSessionBucketsSizedFromSessions(t *testing.T) {
+	for _, tc := range []struct {
+		sessions, buckets, want int
+	}{
+		{0, 0, 1 << 14},
+		{100_000, 0, 1 << 15},
+		{1_000_000, 0, 1 << 18},
+		{1_000_000, 1 << 8, 1 << 8},
+	} {
+		cfg := Config{Sessions: tc.sessions, SessionBuckets: tc.buckets}
+		cfg.fill()
+		if cfg.SessionBuckets != tc.want {
+			t.Errorf("Sessions=%d SessionBuckets=%d: filled to %d buckets, want %d",
+				tc.sessions, tc.buckets, cfg.SessionBuckets, tc.want)
+		}
 	}
 }

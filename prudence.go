@@ -593,7 +593,10 @@ func (l *List) Walk(cpu int, fn func(key uint64, value []byte) bool) {
 // Len returns the element count.
 func (l *List) Len() int { return l.l.Len() }
 
-// Map is an RCU-protected hash table over list buckets.
+// Map is an RCU-protected hash table. Each bucket publishes an
+// immutable, contiguous chain of keys and payload references; writers
+// replace the chain under a per-bucket lock and defer-free the payload
+// they replaced.
 type Map struct{ m *rcuhash.Map }
 
 // NewMap creates an RCU-protected hash map with the given power-of-two

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -208,6 +209,58 @@ func TestMapFacade(t *testing.T) {
 		if ok, err := m.Delete(0, i); err != nil || !ok {
 			t.Fatalf("Delete(%d): %v %v", i, ok, err)
 		}
+	}
+	c.Drain()
+}
+
+// Two CPUs racing to Put the same new key must leave one entry: the
+// lookup and the insert happen under one bucket lock, not as an update
+// attempt followed by a separate insert.
+func TestMapConcurrentPutInsertsOnce(t *testing.T) {
+	sys := newSystem(t, prudence.Config{CPUs: 2, MemoryPages: 1024})
+	c := sys.NewCache("map-race", 64)
+	m := sys.NewMap(c, 1)
+	const keys = 20000
+	// started is the key both CPUs may Put; putDone is the last key
+	// CPU 1 has put. CPU 0 checks and clears each key before the next.
+	var started, putDone atomic.Int64
+	var dups int
+	sys.RunOnAllCPUs(func(cpu int) {
+		for k := int64(1); k <= keys; k++ {
+			if cpu == 0 {
+				started.Store(k)
+			} else {
+				for started.Load() < k {
+					runtime.Gosched()
+				}
+			}
+			if err := m.Put(cpu, uint64(k), []byte("v")); err != nil {
+				t.Errorf("cpu %d: Put(%d): %v", cpu, k, err)
+			}
+			sys.QuiescentState(cpu)
+			if cpu == 1 {
+				putDone.Store(k)
+				continue
+			}
+			for putDone.Load() < k {
+				runtime.Gosched()
+			}
+			if n := m.Len(); n != 1 {
+				dups++
+			}
+			for {
+				ok, err := m.Delete(0, uint64(k))
+				if err != nil {
+					t.Errorf("Delete(%d): %v", k, err)
+				}
+				if !ok {
+					break
+				}
+			}
+		}
+	})
+	if dups != 0 {
+		t.Fatalf("%d of %d keys were inserted twice", dups, keys)
 	}
 	c.Drain()
 }
