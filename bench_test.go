@@ -12,6 +12,7 @@
 // §3.3 cost -> BenchmarkAllocPath/{hit,refill,grow}
 // §3.4 DoS  -> BenchmarkDoS/{slub,prudence}
 // Ablation  -> BenchmarkAblation/<variant>
+// Map reads -> BenchmarkMapLookup/{Get,GetMany}
 //
 // Absolute numbers are machine-dependent; EXPERIMENTS.md records the
 // paper-vs-measured comparison for a reference run.
@@ -19,9 +20,11 @@ package prudence_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
+	"prudence"
 	"prudence/internal/bench"
 	"prudence/internal/core"
 	"prudence/internal/rcutree"
@@ -268,3 +271,62 @@ func BenchmarkTreeUpdateStorm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMapLookup measures session-map reads through the facade over
+// 100 k resident 128 B entries in 16 k buckets, perfbench's
+// session-read table: one Get per key against one GetMany per
+// MaxGetMany keys, in the same random key order. ns/key compares them.
+func BenchmarkMapLookup(b *testing.B) {
+	const keys = 100_000
+	sys, err := prudence.New(prudence.Config{CPUs: 1, MemoryPages: 8192})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	m := sys.NewMap(sys.NewCache("sessions", 128), 1<<14)
+	val := make([]byte, 64)
+	for k := uint64(0); k < keys; k++ {
+		if err := m.Put(0, k, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	order := rand.New(rand.NewPCG(1, 2)).Perm(keys)
+	bufs := make([][]byte, prudence.MaxGetMany)
+	for j := range bufs {
+		bufs[j] = make([]byte, 128)
+	}
+	perKey := func(b *testing.B, keysPerOp int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keysPerOp), "ns/key")
+	}
+	b.Run("Get", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := m.Get(0, uint64(order[i%keys]), bufs[0]); !ok {
+				b.Fatal("resident key missing")
+			}
+			sys.QuiescentState(0)
+		}
+		perKey(b, 1)
+	})
+	b.Run("GetMany", func(b *testing.B) {
+		var (
+			ks   [prudence.MaxGetMany]uint64
+			ns   [prudence.MaxGetMany]int
+			sink byte
+		)
+		for i := 0; i < b.N; i++ {
+			for j := range ks {
+				ks[j] = uint64(order[(i*len(ks)+j)%keys])
+			}
+			sink ^= m.GetMany(0, ks[:], bufs, ns[:])
+			if ns[0] < 0 {
+				b.Fatal("resident key missing")
+			}
+			sys.QuiescentState(0)
+		}
+		perKey(b, len(ks))
+		mapLookupSink = sink
+	})
+}
+
+// mapLookupSink keeps BenchmarkMapLookup's GetMany result alive.
+var mapLookupSink byte

@@ -232,18 +232,87 @@ func (m *Map) Len() int {
 
 // Get copies the value for key into buf inside a read-side critical
 // section on cpu. Returns bytes copied and whether the key was present.
+// It is GetMany's one-key call, so there is one read path.
 func (m *Map) Get(cpu int, key uint64, buf []byte) (int, bool) {
+	var n [1]int
+	m.GetMany(cpu, []uint64{key}, [][]byte{buf}, n[:])
+	if n[0] < 0 {
+		return 0, false
+	}
+	return n[0], true
+}
+
+// MaxGetMany is the most keys one GetMany call takes.
+const MaxGetMany = 16
+
+// GetMany looks up every keys[j] in one read-side critical section on
+// cpu. A present key's value is copied into bufs[j] and ns[j] set to
+// the bytes copied; an absent key sets ns[j] to -1. keys holds at most
+// MaxGetMany entries, and bufs and ns at least as many as keys.
+//
+// Each lookup is a chain of dependent cache misses: the bucket, its
+// chain version, the payload's slab header, the payload. GetMany runs
+// the lookups in stages, one stage for all keys before the next
+// (group prefetching), so the misses of independent keys are in flight
+// together instead of one after another. Go has no prefetch
+// instruction, so two stages only touch memory: they fold what they
+// load into the returned byte, which means nothing but keeps the
+// compiler from dropping those loads. A caller should store it
+// somewhere cheap. The touch stages are skipped for a single key,
+// which has no other miss to overlap.
+func (m *Map) GetMany(cpu int, keys []uint64, bufs [][]byte, ns []int) byte {
+	if len(keys) > MaxGetMany {
+		panic("rcuhash: GetMany takes at most MaxGetMany keys")
+	}
+	var (
+		chains [MaxGetMany]*chain
+		refs   [MaxGetMany]slabcore.Ref
+		touch  uint64
+	)
+	staged := len(keys) > 1
 	// The table pointer must be dereferenced inside the critical
 	// section: a resize defer-frees the old table's payloads after a
 	// grace period, so holding the read lock across load+lookup is what
 	// makes the swap safe.
 	m.rcu.ReadLock(cpu)
 	defer m.rcu.ReadUnlock(cpu)
-	c := m.table.Load().bucket(key).chain.Load()
-	if i := c.find(key); i >= 0 {
-		return copy(buf, c.objs[i].Bytes()), true
+	t := m.table.Load()
+	// Stage 1: every bucket's chain version.
+	for j, k := range keys {
+		chains[j] = t.bucket(k).chain.Load()
 	}
-	return 0, false
+	// Stage 2: the chains' keys.
+	if staged {
+		for _, c := range chains[:len(keys)] {
+			if c != nil {
+				touch += c.keys[0] + c.keys[len(c.keys)-1]
+			}
+		}
+	}
+	// Stage 3: each key's payload reference, if present.
+	for j, k := range keys {
+		if i := chains[j].find(k); i >= 0 {
+			refs[j] = chains[j].objs[i]
+		}
+	}
+	// Stage 4: the payloads' slab headers and both ends of each payload.
+	if staged {
+		for _, r := range refs[:len(keys)] {
+			if !r.IsZero() {
+				b := r.Bytes()
+				touch += uint64(b[0]) + uint64(b[len(b)-1])
+			}
+		}
+	}
+	// Stage 5: the copies.
+	for j, r := range refs[:len(keys)] {
+		if r.IsZero() {
+			ns[j] = -1
+		} else {
+			ns[j] = copy(bufs[j], r.Bytes())
+		}
+	}
+	return byte(touch)
 }
 
 // Put inserts or replaces key's value. Either way the value goes into

@@ -320,26 +320,60 @@ func TestReadersWhileWritersRewriteBuckets(t *testing.T) {
 				}
 				return
 			}
-			seen := make([]uint64, resident)
-			buf := make([]byte, 24)
-			for writing.Load() > 0 {
-				for k := uint64(0); k < resident; k++ {
-					if _, ok := m.Get(id, k, buf); !ok {
-						t.Errorf("cpu %d: resident key %d missing", id, k)
-						return
-					}
-					v, ok := checkPayload(buf, k)
-					if !ok || v < seen[k] {
-						t.Errorf("cpu %d: key %d read version %d (checksum ok %v) after %d", id, k, v, ok, seen[k])
-						return
-					}
-					seen[k] = v
+			// Odd reader CPUs look keys up through GetMany, even ones
+			// through one Get per key; both get the same checks.
+			bufs := make([][]byte, rcuhash.MaxGetMany)
+			ns := make([]int, rcuhash.MaxGetMany)
+			for j := range bufs {
+				bufs[j] = make([]byte, 24)
+			}
+			lookup := func(keys []uint64) {
+				if id%2 == 1 {
+					m.GetMany(id, keys, bufs, ns)
+					return
 				}
-				for k := uint64(1000); k < 1000+writers*rounds; k += 97 {
-					if _, ok := m.Get(id, k, buf); ok {
-						if _, ok := checkPayload(buf, k); !ok {
-							t.Errorf("cpu %d: transient key %d read a torn payload", id, k)
+				for j, k := range keys {
+					n, ok := m.Get(id, k, bufs[j])
+					if !ok {
+						n = -1
+					}
+					ns[j] = n
+				}
+			}
+			var residents, transients []uint64
+			for k := uint64(0); k < resident; k++ {
+				residents = append(residents, k)
+			}
+			for k := uint64(1000); k < 1000+writers*rounds; k += 97 {
+				transients = append(transients, k)
+			}
+			seen := make([]uint64, resident)
+			for writing.Load() > 0 {
+				for lo := 0; lo < len(residents); lo += rcuhash.MaxGetMany {
+					keys := residents[lo:min(lo+rcuhash.MaxGetMany, len(residents))]
+					lookup(keys)
+					for j, k := range keys {
+						if ns[j] < 0 {
+							t.Errorf("cpu %d: resident key %d missing", id, k)
 							return
+						}
+						v, ok := checkPayload(bufs[j], k)
+						if !ok || v < seen[k] {
+							t.Errorf("cpu %d: key %d read version %d (checksum ok %v) after %d", id, k, v, ok, seen[k])
+							return
+						}
+						seen[k] = v
+					}
+				}
+				for lo := 0; lo < len(transients); lo += rcuhash.MaxGetMany {
+					keys := transients[lo:min(lo+rcuhash.MaxGetMany, len(transients))]
+					lookup(keys)
+					for j, k := range keys {
+						if ns[j] >= 0 {
+							if _, ok := checkPayload(bufs[j], k); !ok {
+								t.Errorf("cpu %d: transient key %d read a torn payload", id, k)
+								return
+							}
 						}
 					}
 				}
@@ -352,8 +386,9 @@ func TestReadersWhileWritersRewriteBuckets(t *testing.T) {
 	})
 }
 
-// A lookup allocates nothing, and each write on a short chain
-// allocates exactly one Go object: the bucket's next chain version.
+// A lookup, single or staged, allocates nothing, and each write on a
+// short chain allocates exactly one Go object: the bucket's next chain
+// version.
 // One bucket keeps every chain between 2 and 16 entries long, the
 // range in which a version is a single allocation.
 func TestAllocationsPerOperation(t *testing.T) {
@@ -369,6 +404,17 @@ func TestAllocationsPerOperation(t *testing.T) {
 			}
 		}
 		buf := make([]byte, 8)
+		// GetMany's keys: every resident key, then absent ones.
+		keys := make([]uint64, rcuhash.MaxGetMany)
+		bufs := make([][]byte, len(keys))
+		ns := make([]int, len(keys))
+		for j := range keys {
+			keys[j] = uint64(j)
+			if j >= resident {
+				keys[j] = 1000 + uint64(j)
+			}
+			bufs[j] = make([]byte, 8)
+		}
 		var next, gone uint64 = 100, 100
 		for _, tc := range []struct {
 			name string
@@ -378,6 +424,13 @@ func TestAllocationsPerOperation(t *testing.T) {
 			{"Get", 0, func() error {
 				if _, ok := m.Get(0, 1, buf); !ok {
 					return fmt.Errorf("key 1 missing")
+				}
+				return nil
+			}},
+			{"GetMany", 0, func() error {
+				m.GetMany(0, keys, bufs, ns)
+				if ns[1] < 0 || ns[len(keys)-1] >= 0 {
+					return fmt.Errorf("GetMany ns = %v", ns)
 				}
 				return nil
 			}},
@@ -404,5 +457,69 @@ func TestAllocationsPerOperation(t *testing.T) {
 				t.Errorf("%s: %v allocs/op, want at most %v", tc.name, got, tc.max)
 			}
 		}
+	})
+}
+
+// GetMany returns exactly what one Get per key returns, for every key
+// count up to MaxGetMany, over present keys, absent keys and keys
+// deleted just before the call, in buckets holding several keys.
+func TestGetManyMatchesGet(t *testing.T) {
+	eachAllocator(t, func(t *testing.T, s *alloctest.Stack, c alloc.Cache) {
+		const resident = 64
+		m := rcuhash.New(c, s.RCU, 8)
+		for k := uint64(0); k < resident; k++ {
+			if err := m.Put(0, k, payload(k, k%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bufs := make([][]byte, rcuhash.MaxGetMany)
+		for j := range bufs {
+			bufs[j] = make([]byte, 24)
+		}
+		ns := make([]int, rcuhash.MaxGetMany)
+		want := make([]byte, 24)
+		gone := uint64(resident)
+		for n := 0; n <= rcuhash.MaxGetMany; n++ {
+			keys := make([]uint64, n)
+			for j := range keys {
+				switch j % 3 {
+				case 0: // present: the deletes below stop above key 16
+					keys[j] = uint64(n+j) % 16
+				case 1: // never present
+					keys[j] = 1000 + uint64(n*5+j)
+				case 2: // deleted just before the call
+					gone--
+					if ok, err := m.Delete(0, gone); !ok || err != nil {
+						t.Fatalf("Delete(%d) = %v, %v", gone, ok, err)
+					}
+					keys[j] = gone
+				}
+			}
+			for j := range ns {
+				ns[j] = -2
+			}
+			m.GetMany(0, keys, bufs, ns)
+			for j, k := range keys {
+				wn, ok := m.Get(0, k, want)
+				if !ok {
+					wn = -1
+				}
+				if ns[j] != wn || (ok && string(bufs[j][:wn]) != string(want[:wn])) {
+					t.Fatalf("n=%d key %d: GetMany = %d %x, Get = %d %x", n, k, ns[j], bufs[j], wn, want)
+				}
+			}
+			for j := n; j < len(ns); j++ {
+				if ns[j] != -2 {
+					t.Fatalf("n=%d: GetMany wrote ns[%d] past its keys", n, j)
+				}
+			}
+			s.RCU.QuiescentState(0)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("GetMany of MaxGetMany+1 keys did not panic")
+			}
+		}()
+		m.GetMany(0, make([]uint64, rcuhash.MaxGetMany+1), bufs, ns)
 	})
 }

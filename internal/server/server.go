@@ -199,6 +199,24 @@ func (cfg *Config) fill() {
 	}
 }
 
+// shardScratch is one shard worker's private buffers.
+type shardScratch struct {
+	// frame is the value-framing buffer: the RCU structures store
+	// fixed-size objects with no length, so payloads travel as
+	// [uint16 length | bytes].
+	frame []byte
+	// A run of Gets is looked up by one Map.GetMany: keys[j]'s framed
+	// value lands in gets[j], one SessionBytes slice each, with its
+	// length in ns[j]. sink keeps the call's touch loads alive.
+	keys [prudence.MaxGetMany]uint64
+	gets [prudence.MaxGetMany][]byte
+	ns   [prudence.MaxGetMany]int
+	sink byte
+	// Workers write keys, ns and sink on every run; the pad keeps them
+	// off the cache lines of the next shard's slot.
+	_ [64]byte
+}
+
 // Server is the running service. Create with New, submit work with
 // Submit/TrySubmit (or through the HTTP handler), stop with Close.
 type Server struct {
@@ -211,11 +229,9 @@ type Server struct {
 	sessions     *prudence.Map
 	routes       *prudence.Tree
 
-	// scratch[cpu] is the shard's value-framing buffer: the RCU
-	// structures store fixed-size objects with no length, so payloads
-	// travel as [uint16 length | bytes]. Only the owning worker
-	// touches its slot.
-	scratch [][]byte
+	// scratch[cpu] is the shard's private buffers. Only the owning
+	// worker touches its slot.
+	scratch []shardScratch
 
 	queues []chan *Batch
 	stop   chan struct{}
@@ -249,6 +265,21 @@ type Server struct {
 // caches, RCU structures — and starts the shard workers and the
 // backlog monitor.
 func New(cfg Config) (*Server, error) {
+	s, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.wg.Add(s.shards + 1)
+	for i := 0; i < s.shards; i++ {
+		go s.worker(i)
+	}
+	go s.monitor()
+	return s, nil
+}
+
+// build is New without the goroutines: until they start, the caller
+// owns every virtual CPU.
+func build(cfg Config) (*Server, error) {
 	cfg.fill()
 	sys, err := prudence.New(prudence.Config{
 		CPUs:                cfg.CPUs,
@@ -270,13 +301,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.sessionCache = sys.NewCache("server-sessions", cfg.SessionBytes)
 	s.routeCache = sys.NewCache("server-routes", cfg.RouteBytes)
-	scratchLen := cfg.SessionBytes
-	if cfg.RouteBytes > scratchLen {
-		scratchLen = cfg.RouteBytes
+	frameLen := cfg.SessionBytes
+	if cfg.RouteBytes > frameLen {
+		frameLen = cfg.RouteBytes
 	}
-	s.scratch = make([][]byte, sys.NumCPU())
+	s.scratch = make([]shardScratch, sys.NumCPU())
 	for i := range s.scratch {
-		s.scratch[i] = make([]byte, scratchLen)
+		sc := &s.scratch[i]
+		sc.frame = make([]byte, frameLen)
+		gets := make([]byte, len(sc.gets)*cfg.SessionBytes)
+		for j := range sc.gets {
+			sc.gets[j] = gets[j*cfg.SessionBytes : (j+1)*cfg.SessionBytes]
+		}
 	}
 	s.sessions = sys.NewMap(s.sessionCache, cfg.SessionBuckets)
 	s.routes = sys.NewTree(s.routeCache)
@@ -285,11 +321,6 @@ func New(cfg Config) (*Server, error) {
 		s.queues[i] = make(chan *Batch, cfg.QueueDepth)
 	}
 	s.registerMetrics()
-	s.wg.Add(s.shards + 1)
-	for i := 0; i < s.shards; i++ {
-		go s.worker(i)
-	}
-	go s.monitor()
 	return s, nil
 }
 
@@ -451,19 +482,39 @@ func (s *Server) worker(shard int) {
 }
 
 func (s *Server) runBatch(cpu int, b *Batch) {
-	for i := range b.Ops {
-		s.runOp(cpu, &b.Ops[i])
-		s.sys.QuiescentState(cpu)
+	var kinds [numOpKinds]uint64
+	for i := 0; i < len(b.Ops); {
+		// A run of consecutive Gets is one staged lookup. The run stops
+		// at any other op, so every op still sees every earlier write
+		// in the batch.
+		n := 1
+		if b.Ops[i].Kind == OpGet {
+			for n < prudence.MaxGetMany && i+n < len(b.Ops) && b.Ops[i+n].Kind == OpGet {
+				n++
+			}
+		}
+		if n > 1 {
+			s.getRun(cpu, b.Ops[i:i+n])
+		} else {
+			s.runOp(cpu, &b.Ops[i])
+		}
+		// One quiescent state per op, after the run's section closes.
+		for end := i + n; i < end; i++ {
+			if k := b.Ops[i].Kind; k < numOpKinds {
+				kinds[k]++
+			}
+			s.sys.QuiescentState(cpu)
+		}
 	}
-	// One latency sample per op at batch completion: queueing delay
+	// Every op's latency is taken at batch completion: queueing delay
 	// plus service of everything ahead of it in the batch, which is
-	// what a client sharing the batch would observe.
+	// what a client sharing the batch would observe. The ops share
+	// that one value, so each kind is observed once.
 	lat := time.Since(b.submitted)
-	for i := range b.Ops {
-		k := b.Ops[i].Kind
-		if k < numOpKinds {
-			s.latency[k].Observe(lat)
-			s.opsDone[k].Inc(cpu)
+	for k, n := range kinds {
+		if n > 0 {
+			s.latency[k].ObserveN(lat, n)
+			s.opsDone[k].Add(cpu, n)
 		}
 	}
 	s.batches.Inc(cpu)
@@ -472,10 +523,10 @@ func (s *Server) runBatch(cpu int, b *Batch) {
 	}
 }
 
-// frame packs v into cpu's scratch buffer as [uint16 length | bytes],
+// frame packs v into cpu's framing buffer as [uint16 length | bytes],
 // truncating to the cache's usable payload capacity (size-2).
 func (s *Server) frame(cpu int, v []byte, size int) []byte {
-	sc := s.scratch[cpu][:size]
+	sc := s.scratch[cpu].frame[:size]
 	n := len(v)
 	if n > size-2 {
 		n = size - 2
@@ -489,19 +540,44 @@ func (s *Server) frame(cpu int, v []byte, size int) []byte {
 // readFramed copies the framed value for key out of get into dst,
 // returning the payload length and whether the key existed.
 func (s *Server) readFramed(cpu int, get func(int, uint64, []byte) (int, bool), key uint64, size int, dst []byte) (int, bool) {
-	sc := s.scratch[cpu][:size]
+	sc := s.scratch[cpu].frame[:size]
 	n, ok := get(cpu, key, sc)
 	if !ok {
 		return 0, false
 	}
-	if n < 2 {
-		return 0, true
+	return unframe(dst, sc[:n]), true
+}
+
+// unframe copies the payload of the framed value v into dst and
+// returns its length.
+func unframe(dst, v []byte) int {
+	if len(v) < 2 {
+		return 0
 	}
-	l := int(sc[0]) | int(sc[1])<<8
-	if l > n-2 {
-		l = n - 2
+	l := int(v[0]) | int(v[1])<<8
+	if l > len(v)-2 {
+		l = len(v) - 2
 	}
-	return copy(dst, sc[2:2+l]), true
+	return copy(dst, v[2:2+l])
+}
+
+// getRun executes a run of 2 to MaxGetMany OpGets as one staged
+// session lookup in one read-side section.
+func (s *Server) getRun(cpu int, ops []Op) {
+	sc := &s.scratch[cpu]
+	n := len(ops)
+	for j := range ops {
+		sc.keys[j] = ops[j].Key
+	}
+	sc.sink = s.sessions.GetMany(cpu, sc.keys[:n], sc.gets[:n], sc.ns[:n])
+	for j := range ops {
+		op := &ops[j]
+		if sc.ns[j] < 0 {
+			op.N, op.Status = 0, StatusNotFound
+			continue
+		}
+		op.N, op.Status = unframe(op.Buf, sc.gets[j][:sc.ns[j]]), StatusOK
+	}
 }
 
 func (s *Server) runOp(cpu int, op *Op) {

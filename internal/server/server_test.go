@@ -9,6 +9,7 @@ import (
 
 	"prudence"
 	"prudence/internal/fault"
+	"prudence/internal/stats"
 )
 
 func testConfig(t *testing.T) Config {
@@ -33,20 +34,26 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func do(t *testing.T, s *Server, op Op) Op {
+// run submits ops to shard as one batch and returns them executed.
+func run(t *testing.T, s *Server, shard int, ops ...Op) []Op {
 	t.Helper()
-	b := NewBatch(1)
-	b.Ops = append(b.Ops, op)
-	if err := s.Submit(s.ShardFor(op.Key), b); err != nil {
-		t.Fatalf("Submit(%v): %v", op.Kind, err)
+	b := NewBatch(len(ops))
+	b.Ops = append(b.Ops, ops...)
+	if err := s.Submit(shard, b); err != nil {
+		t.Fatalf("Submit(%v): %v", ops[0].Kind, err)
 	}
 	select {
 	case got := <-b.Reply:
-		return got.Ops[0]
+		return got.Ops
 	case <-time.After(10 * time.Second):
-		t.Fatalf("batch with %v never completed", op.Kind)
-		return Op{}
+		t.Fatalf("batch starting with %v never completed", ops[0].Kind)
+		return nil
 	}
+}
+
+func do(t *testing.T, s *Server, op Op) Op {
+	t.Helper()
+	return run(t, s, s.ShardFor(op.Key), op)[0]
 }
 
 func TestSessionLifecycle(t *testing.T) {
@@ -412,6 +419,134 @@ func TestSessionBucketsSizedFromSessions(t *testing.T) {
 		if cfg.SessionBuckets != tc.want {
 			t.Errorf("Sessions=%d SessionBuckets=%d: filled to %d buckets, want %d",
 				tc.sessions, tc.buckets, cfg.SessionBuckets, tc.want)
+		}
+	}
+}
+
+// TestBatchKeepsPerKeyOrder runs a batch whose Gets are split by writes
+// to the same keys, on every allocator and scheme: each Get must see
+// every earlier op of the batch, whether it runs in a staged run of
+// Gets or alone.
+func TestBatchKeepsPerKeyOrder(t *testing.T) {
+	for _, alloc := range []prudence.AllocatorKind{prudence.Prudence, prudence.SLUB} {
+		for _, scheme := range prudence.Reclamations() {
+			t.Run(fmt.Sprintf("%s/%s", alloc, scheme), func(t *testing.T) {
+				cfg := testConfig(t)
+				cfg.Allocator = alloc
+				cfg.Reclamation = prudence.ReclamationKind(scheme)
+				s := newTestServer(t, cfg)
+				k, j := uint64(1), uint64(2)
+				for s.ShardFor(j) != s.ShardFor(k) {
+					j++
+				}
+				for _, op := range run(t, s, s.ShardFor(k),
+					Op{Kind: OpConnect, Key: k, Val: []byte("old-k")},
+					Op{Kind: OpConnect, Key: j, Val: []byte("old-j")}) {
+					if op.Status != StatusOK {
+						t.Fatalf("connect %d: %v", op.Key, op.Status)
+					}
+				}
+				get := func(key uint64) Op { return Op{Kind: OpGet, Key: key, Buf: make([]byte, 16)} }
+				ops := run(t, s, s.ShardFor(k),
+					get(k), get(j),
+					Op{Kind: OpTouch, Key: k, Val: []byte("new-k")},
+					get(k),
+					Op{Kind: OpDisconnect, Key: j},
+					get(j))
+				want := []struct {
+					status Status
+					val    string
+				}{
+					{StatusOK, "old-k"}, {StatusOK, "old-j"},
+					{StatusOK, ""},
+					{StatusOK, "new-k"},
+					{StatusOK, ""},
+					{StatusNotFound, ""},
+				}
+				for i, w := range want {
+					op := ops[i]
+					if got := string(op.Buf[:op.N]); op.Status != w.status || got != w.val {
+						t.Errorf("op %d (%v %d) = %v %q, want %v %q", i, op.Kind, op.Key, op.Status, got, w.status, w.val)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBatchObservesLikePerOp checks that observing each op kind once
+// per batch leaves the same latency histograms and op counters as one
+// Observe and one increment per op would.
+func TestBatchObservesLikePerOp(t *testing.T) {
+	s := newTestServer(t, testConfig(t))
+	key := uint64(7)
+	buf := make([]byte, 16)
+	ops := run(t, s, s.ShardFor(key),
+		Op{Kind: OpConnect, Key: key, Val: []byte("v")},
+		Op{Kind: OpGet, Key: key, Buf: buf},
+		Op{Kind: OpGet, Key: key + 1, Buf: buf},
+		Op{Kind: OpTouch, Key: key, Val: []byte("w")},
+		Op{Kind: OpGet, Key: key, Buf: buf},
+		Op{Kind: OpRouteAdd, Key: key, Val: []byte("r")},
+		Op{Kind: OpRouteLookup, Key: key, Buf: buf},
+		Op{Kind: OpDisconnect, Key: key},
+		Op{Kind: numOpKinds}, // unknown: executed as not found, never counted
+	)
+	// Every op of a batch shares the batch's completion latency.
+	lat := s.Latency(OpGet).Export().Max
+	var want [numOpKinds]stats.Histogram
+	var count [numOpKinds]uint64
+	for _, op := range ops {
+		if op.Kind < numOpKinds {
+			want[op.Kind].Observe(lat)
+			count[op.Kind]++
+		}
+	}
+	for k := OpKind(0); k < numOpKinds; k++ {
+		if got, w := s.Latency(k).Export(), want[k].Export(); got != w {
+			t.Errorf("%v latency = %+v, want per-op %+v", k, got, w)
+		}
+		if got := s.OpsCompleted(k); got != count[k] {
+			t.Errorf("prudence_server_ops_total{op=%q} = %d, want %d", k, got, count[k])
+		}
+	}
+}
+
+// TestGetRunAllocatesNothing executes a batch of MaxGetMany Gets, one
+// staged lookup, and checks it allocates no Go memory.
+func TestGetRunAllocatesNothing(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.CPUs = 1
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	// No worker runs, so this goroutine owns vCPU 0; it idles the vCPU
+	// before Close waits out grace periods.
+	t.Cleanup(func() {
+		s.sys.QuiescentState(0)
+		s.sys.EnterIdle(0)
+	})
+	b := &Batch{}
+	for k := uint64(0); k < prudence.MaxGetMany; k += 2 {
+		b.Ops = append(b.Ops, Op{Kind: OpConnect, Key: k, Val: []byte("v")})
+	}
+	s.runBatch(0, b)
+	b.Ops = b.Ops[:0]
+	for k := uint64(0); k < prudence.MaxGetMany; k++ {
+		b.Ops = append(b.Ops, Op{Kind: OpGet, Key: k, Buf: make([]byte, 8)})
+	}
+	if got := testing.AllocsPerRun(100, func() { s.runBatch(0, b) }); got != 0 {
+		t.Errorf("runBatch of %d Gets: %v allocs/run, want 0", len(b.Ops), got)
+	}
+	for _, op := range b.Ops {
+		want := StatusNotFound
+		if op.Key%2 == 0 {
+			want = StatusOK
+		}
+		if op.Status != want || (want == StatusOK && string(op.Buf[:op.N]) != "v") {
+			t.Errorf("get %d = %v %q, want %v", op.Key, op.Status, op.Buf[:op.N], want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -24,40 +25,31 @@ type Histogram struct {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of the same duration under one lock
+// acquisition: the server's shard workers observe every op of a kind
+// in a batch at once, since they all share the batch's latency.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
+	if n == 0 {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
-	idx := 0
-	if d > 0 {
-		idx = 64 - leadingZeros64(uint64(d))
-		if idx >= len(h.buckets) {
-			idx = len(h.buckets) - 1
-		}
-	}
+	// A non-negative duration has at most 63 significant bits.
+	idx := bits.Len64(uint64(d))
 	h.mu.Lock()
-	h.buckets[idx]++
-	h.count++
-	h.sum += d
-	if h.count == 1 || d < h.min {
+	h.buckets[idx] += n
+	h.count += n
+	h.sum += d * time.Duration(n)
+	if h.count == n || d < h.min {
 		h.min = d
 	}
 	if d > h.max {
 		h.max = d
 	}
 	h.mu.Unlock()
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Count returns the number of observations.

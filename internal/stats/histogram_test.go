@@ -72,6 +72,26 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// ObserveN(d, n) leaves the same state as n calls of Observe(d), from
+// an empty histogram and from one that already holds observations.
+func TestHistogramObserveNMatchesObserve(t *testing.T) {
+	var batched, single Histogram
+	for _, c := range []struct {
+		d time.Duration
+		n uint64
+	}{
+		{300, 3}, {-5, 2}, {0, 1}, {1, 4}, {70 * time.Microsecond, 16}, {2, 0}, {time.Duration(1<<63 - 1), 1},
+	} {
+		batched.ObserveN(c.d, c.n)
+		for i := uint64(0); i < c.n; i++ {
+			single.Observe(c.d)
+		}
+		if got, want := batched.Export(), single.Export(); got != want {
+			t.Fatalf("after ObserveN(%v, %d): %+v, want %+v", c.d, c.n, got, want)
+		}
+	}
+}
+
 func TestMedian(t *testing.T) {
 	cases := []struct {
 		in   []float64

@@ -615,6 +615,18 @@ func (m *Map) Get(cpu int, key uint64, buf []byte) (int, bool) {
 	return m.m.Get(cpu, key, buf)
 }
 
+// GetMany looks up to MaxGetMany keys in one read-side critical
+// section, overlapping their cache misses: bufs[j] receives keys[j]'s
+// value and ns[j] the bytes copied, or -1 when the key is absent. The
+// returned byte is folded from the overlapped loads and means nothing;
+// store it somewhere cheap so the compiler keeps those loads.
+func (m *Map) GetMany(cpu int, keys []uint64, bufs [][]byte, ns []int) byte {
+	return m.m.GetMany(cpu, keys, bufs, ns)
+}
+
+// MaxGetMany is the most keys one Map.GetMany call takes.
+const MaxGetMany = rcuhash.MaxGetMany
+
 // Delete removes key, defer-freeing its payload.
 func (m *Map) Delete(cpu int, key uint64) (bool, error) {
 	return m.m.Delete(cpu, key)
